@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -120,7 +121,7 @@ func controllerLoad(shards, clients int, duration time.Duration) (kops float64, 
 				}
 				start := time.Now()
 				var resp proto.RenewLeaseResp
-				if err := cl.CallGob(proto.MethodRenewLease,
+				if err := cl.CallMsg(context.Background(), proto.MethodRenewLease,
 					proto.RenewLeaseReq{Paths: []core.Path{path}}, &resp); err != nil {
 					return
 				}

@@ -222,7 +222,9 @@ type Client struct {
 	// routers dispatches push notifications per data-plane connection.
 	routers map[string]*pushRouter
 
-	renewers []*Renewer
+	// renewers holds the running renewal agents; a stopped renewer
+	// removes itself.
+	renewers map[*Renewer]struct{}
 	closed   bool
 }
 
@@ -246,6 +248,7 @@ func Dial(ctx context.Context, opts ...Option) (*Client, error) {
 		ctrlAddrs: cfg.controllers,
 		policy:    cfg.policy,
 		routers:   make(map[string]*pushRouter),
+		renewers:  make(map[*Renewer]struct{}),
 		reg:       obs.NewRegistry(),
 		rpcm:      obs.NewRPCMetrics("client"),
 	}
@@ -314,7 +317,7 @@ func Dial(ctx context.Context, opts ...Option) (*Client, error) {
 		connected = true
 		c.leader.Store(int32(i))
 		var role proto.CtrlRoleResp
-		if err := conn.CallGobCtx(ctx, proto.MethodCtrlRole, proto.CtrlRoleReq{}, &role); err == nil {
+		if err := conn.CallMsg(ctx, proto.MethodCtrlRole, proto.CtrlRoleReq{}, &role); err == nil {
 			if j := c.ctrlIndexOf(role.Leader); j >= 0 {
 				c.leader.Store(int32(j))
 			}
@@ -404,7 +407,7 @@ func (c *Client) callCtrl(ctx context.Context, method uint16, req, resp any) err
 		addr := c.ctrlAddrs[idx]
 		conn, err := c.ctrlPool.Get(addr)
 		if err == nil {
-			err = conn.CallGobCtx(ctx, method, req, resp)
+			err = conn.CallMsg(ctx, method, req, resp)
 		}
 		if err == nil {
 			c.leader.Store(int32(idx))
@@ -489,7 +492,7 @@ func (c *Client) ControllerRole(ctx context.Context) (proto.CtrlRoleResp, error)
 			continue
 		}
 		var resp proto.CtrlRoleResp
-		if err := conn.CallGobCtx(ctx, proto.MethodCtrlRole, proto.CtrlRoleReq{}, &resp); err != nil {
+		if err := conn.CallMsg(ctx, proto.MethodCtrlRole, proto.CtrlRoleReq{}, &resp); err != nil {
 			lastErr = err
 			c.ctrlPool.Drop(addr)
 			continue
@@ -508,7 +511,7 @@ func (c *Client) PromoteController(ctx context.Context, addr string) (uint64, er
 		return 0, fmt.Errorf("client: promote %s: %w", addr, err)
 	}
 	var resp proto.CtrlPromoteResp
-	if err := conn.CallGobCtx(ctx, proto.MethodCtrlPromote, proto.CtrlPromoteReq{}, &resp); err != nil {
+	if err := conn.CallMsg(ctx, proto.MethodCtrlPromote, proto.CtrlPromoteReq{}, &resp); err != nil {
 		c.ctrlPool.Drop(addr)
 		return 0, err
 	}
@@ -530,7 +533,10 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	renewers := c.renewers
+	renewers := make([]*Renewer, 0, len(c.renewers))
+	for r := range c.renewers {
+		renewers = append(renewers, r)
+	}
 	c.mu.Unlock()
 	for _, r := range renewers {
 		r.Stop()

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"jiffy/internal/codec"
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
 	"jiffy/internal/proto"
@@ -25,7 +26,7 @@ type pushRouter struct {
 
 func (r *pushRouter) route(subID uint64, payload []byte) {
 	var n proto.Notification
-	if err := rpc.Unmarshal(payload, &n); err != nil {
+	if err := codec.Unmarshal(payload, &n); err != nil {
 		return
 	}
 	r.mu.Lock()
@@ -146,7 +147,7 @@ func (l *Listener) subscribeNew(ctx context.Context, m ds.PartitionMap) error {
 			return err
 		}
 		var resp proto.SubscribeResp
-		if err := conn.CallGobCtx(ctx, proto.MethodSubscribe,
+		if err := conn.CallMsg(ctx, proto.MethodSubscribe,
 			proto.SubscribeReq{Blocks: blocks, Ops: l.ops}, &resp); err != nil {
 			return err
 		}
@@ -232,7 +233,7 @@ func (l *Listener) Close() {
 		}
 		if conn, err := l.c.pool.Get(s.addr); err == nil {
 			var resp proto.UnsubscribeResp
-			conn.CallGob(proto.MethodUnsubscribe, proto.UnsubscribeReq{SubID: s.subID}, &resp)
+			conn.CallMsg(context.TODO(), proto.MethodUnsubscribe, proto.UnsubscribeReq{SubID: s.subID}, &resp)
 		}
 	}
 }

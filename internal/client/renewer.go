@@ -41,7 +41,7 @@ func (c *Client) StartRenewer(interval time.Duration, paths ...core.Path) *Renew
 		r.paths[p] = struct{}{}
 	}
 	c.mu.Lock()
-	c.renewers = append(c.renewers, r)
+	c.renewers[r] = struct{}{}
 	c.mu.Unlock()
 	go r.loop()
 	return r
@@ -66,10 +66,14 @@ func (r *Renewer) Remove(paths ...core.Path) {
 	r.mu.Unlock()
 }
 
-// Stop halts the loop. Idempotent.
+// Stop halts the loop and detaches the renewer from its client.
+// Idempotent.
 func (r *Renewer) Stop() {
 	r.once.Do(func() { close(r.stop) })
 	<-r.done
+	r.c.mu.Lock()
+	delete(r.c.renewers, r)
+	r.c.mu.Unlock()
 }
 
 func (r *Renewer) loop() {

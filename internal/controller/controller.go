@@ -346,7 +346,12 @@ func (c *Controller) DeregisterJob(job core.JobID) error {
 	})
 	s.dropJobIndexLocked(h)
 	delete(s.jobs, job)
-	c.setTenantQuota(string(job), core.Quota{})
+	// Only a job with a registered rate quota has admission state on
+	// the servers to clear. Pushing a zero quota for every other job
+	// would cost one RPC per server and leave a dead tenant in each gate.
+	if c.hasTenantQuota(string(job)) {
+		c.setTenantQuota(string(job), core.Quota{})
+	}
 	c.repl.emit(replOp{Kind: opDeregisterJob, Job: job})
 	return nil
 }

@@ -3,11 +3,11 @@ package controller
 import (
 	"fmt"
 
+	"jiffy/internal/codec"
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
 	"jiffy/internal/hierarchy"
 	"jiffy/internal/proto"
-	"jiffy/internal/rpc"
 )
 
 // manifest records a flushed prefix's layout so Load can rebuild the
@@ -71,7 +71,7 @@ func (c *Controller) flushLocked(n *hierarchy.Node, externalPath string) (int, e
 		m.Entries = append(m.Entries, manifestEntry{Chunk: e.Chunk, Slots: e.Slots, Key: key})
 		c.flushBlocks.Add(1)
 	}
-	data, err := rpc.Marshal(m)
+	data, err := codec.Marshal(m)
 	if err != nil {
 		return len(m.Entries), err
 	}
@@ -115,7 +115,7 @@ func (c *Controller) loadLocked(n *hierarchy.Node, externalPath string) error {
 		return fmt.Errorf("controller: load %q: %w", externalPath, err)
 	}
 	var m manifest
-	if err := rpc.Unmarshal(data, &m); err != nil {
+	if err := codec.Unmarshal(data, &m); err != nil {
 		return err
 	}
 	chains, err := c.allocateChains(len(m.Entries))

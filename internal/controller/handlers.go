@@ -7,6 +7,7 @@ import (
 	"jiffy/internal/core"
 	"jiffy/internal/proto"
 	"jiffy/internal/rpc"
+	"jiffy/internal/wire"
 )
 
 // handle is the controller's RPC dispatch table. The request context
@@ -24,32 +25,16 @@ func (c *Controller) handle(_ context.Context, _ *rpc.ServerConn, method uint16,
 	c.ops.Add(1)
 	switch method {
 	case proto.MethodCtrlReplicate:
-		var req proto.CtrlReplicateReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp, err := c.handleReplicate(req)
-		if err != nil {
-			return []byte(err.Error()), err
-		}
-		return rpc.Marshal(resp)
+		return serveGroup(payload, c.handleReplicate)
 
 	case proto.MethodCtrlBootstrap:
-		var req proto.CtrlBootstrapReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp, err := c.handleBootstrap(req)
-		if err != nil {
-			return []byte(err.Error()), err
-		}
-		return rpc.Marshal(resp)
+		return serveGroup(payload, c.handleBootstrap)
 
 	case proto.MethodCtrlRole:
-		return rpc.Marshal(c.Role())
+		return rpc.EncodeMsg(c.Role())
 
 	case proto.MethodCtrlPromote:
-		return rpc.Marshal(proto.CtrlPromoteResp{Gen: c.PromoteNow()})
+		return rpc.EncodeMsg(proto.CtrlPromoteResp{Gen: c.PromoteNow()})
 	}
 
 	if !c.leading.Load() {
@@ -63,229 +48,104 @@ func (c *Controller) handle(_ context.Context, _ *rpc.ServerConn, method uint16,
 	// Withhold the ack until live standbys have the ops this request
 	// emitted; a no-op when nothing was emitted or no group is set.
 	if ferr := c.repl.flush(); ferr != nil {
+		wire.PutBuf(resp)
 		return []byte(ferr.Error()), ferr
 	}
 	return resp, nil
 }
 
+// serveGroup serves a replication-group method. A refusal carries its
+// error text as the body, so a NotLeaderError reaches the deposed
+// sender with its leader hint and generation.
+func serveGroup[Req, Resp any](payload []byte, fn func(Req) (Resp, error)) ([]byte, error) {
+	out, err := rpc.ServeMsg(payload, fn)
+	if err != nil {
+		return []byte(err.Error()), err
+	}
+	return out, nil
+}
+
 func (c *Controller) dispatch(method uint16, payload []byte) ([]byte, error) {
 	switch method {
 	case proto.MethodRegisterJob:
-		var req proto.RegisterJobReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := c.RegisterJob(req.Job); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.RegisterJobResp{})
-
+		return rpc.ServeMsg(payload, func(req proto.RegisterJobReq) (proto.RegisterJobResp, error) {
+			return proto.RegisterJobResp{}, c.RegisterJob(req.Job)
+		})
 	case proto.MethodDeregisterJob:
-		var req proto.DeregisterJobReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := c.DeregisterJob(req.Job); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.DeregisterJobResp{})
-
+		return rpc.ServeMsg(payload, func(req proto.DeregisterJobReq) (proto.DeregisterJobResp, error) {
+			return proto.DeregisterJobResp{}, c.DeregisterJob(req.Job)
+		})
 	case proto.MethodCreatePrefix:
-		var req proto.CreatePrefixReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp, err := c.CreatePrefix(req)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(resp)
-
+		return rpc.ServeMsg(payload, c.CreatePrefix)
 	case proto.MethodCreateHierarchy:
-		var req proto.CreateHierarchyReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := c.CreateHierarchy(req); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.CreateHierarchyResp{})
-
+		return rpc.ServeMsg(payload, func(req proto.CreateHierarchyReq) (proto.CreateHierarchyResp, error) {
+			return proto.CreateHierarchyResp{}, c.CreateHierarchy(req)
+		})
 	case proto.MethodRemovePrefix:
-		var req proto.RemovePrefixReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := c.RemovePrefix(req.Path); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.RemovePrefixResp{})
-
+		return rpc.ServeMsg(payload, func(req proto.RemovePrefixReq) (proto.RemovePrefixResp, error) {
+			return proto.RemovePrefixResp{}, c.RemovePrefix(req.Path)
+		})
 	case proto.MethodRenewLease:
-		var req proto.RenewLeaseReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		n, err := c.RenewLease(req.Paths)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.RenewLeaseResp{Renewed: n})
-
+		return rpc.ServeMsg(payload, func(req proto.RenewLeaseReq) (proto.RenewLeaseResp, error) {
+			n, err := c.RenewLease(req.Paths)
+			return proto.RenewLeaseResp{Renewed: n}, err
+		})
 	case proto.MethodLeaseInfo:
-		var req proto.LeaseInfoReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp, err := c.LeaseInfo(req.Path)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(resp)
-
+		return rpc.ServeMsg(payload, func(req proto.LeaseInfoReq) (proto.LeaseInfoResp, error) {
+			return c.LeaseInfo(req.Path)
+		})
 	case proto.MethodOpen:
-		var req proto.OpenReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp, err := c.Open(req.Path)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(resp)
-
+		return rpc.ServeMsg(payload, func(req proto.OpenReq) (proto.OpenResp, error) {
+			return c.Open(req.Path)
+		})
 	case proto.MethodFlushPrefix:
-		var req proto.FlushPrefixReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		n, err := c.FlushPrefix(req.Path, req.ExternalPath)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.FlushPrefixResp{Blocks: n})
-
+		return rpc.ServeMsg(payload, func(req proto.FlushPrefixReq) (proto.FlushPrefixResp, error) {
+			n, err := c.FlushPrefix(req.Path, req.ExternalPath)
+			return proto.FlushPrefixResp{Blocks: n}, err
+		})
 	case proto.MethodLoadPrefix:
-		var req proto.LoadPrefixReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp, err := c.LoadPrefix(req.Path, req.ExternalPath)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(resp)
-
+		return rpc.ServeMsg(payload, func(req proto.LoadPrefixReq) (proto.LoadPrefixResp, error) {
+			return c.LoadPrefix(req.Path, req.ExternalPath)
+		})
 	case proto.MethodRegisterServer:
-		var req proto.RegisterServerReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		first, err := c.RegisterServer(req.Addr, req.NumBlocks)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.RegisterServerResp{FirstID: first})
-
+		return rpc.ServeMsg(payload, func(req proto.RegisterServerReq) (proto.RegisterServerResp, error) {
+			first, err := c.RegisterServer(req.Addr, req.NumBlocks)
+			return proto.RegisterServerResp{FirstID: first}, err
+		})
 	case proto.MethodHeartbeat:
-		var req proto.HeartbeatReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		epoch, err := c.Heartbeat(req.Addr)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.HeartbeatResp{Epoch: epoch})
-
+		return rpc.ServeMsg(payload, func(req proto.HeartbeatReq) (proto.HeartbeatResp, error) {
+			epoch, err := c.Heartbeat(req.Addr)
+			return proto.HeartbeatResp{Epoch: epoch}, err
+		})
 	case proto.MethodReportFailure:
-		var req proto.ReportFailureReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := c.ReportFailure(req); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.ReportFailureResp{})
-
+		return rpc.ServeMsg(payload, func(req proto.ReportFailureReq) (proto.ReportFailureResp, error) {
+			return proto.ReportFailureResp{}, c.ReportFailure(req)
+		})
 	case proto.MethodReportTier:
-		var req proto.ReportTierReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp, err := c.ReportTier(req)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(resp)
-
+		return rpc.ServeMsg(payload, c.ReportTier)
 	case proto.MethodDrainServer:
-		var req proto.DrainServerReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		migrated, err := c.DrainServer(req.Addr)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.DrainServerResp{Migrated: migrated})
-
+		return rpc.ServeMsg(payload, func(req proto.DrainServerReq) (proto.DrainServerResp, error) {
+			migrated, err := c.DrainServer(req.Addr)
+			return proto.DrainServerResp{Migrated: migrated}, err
+		})
 	case proto.MethodScaleUp:
-		var req proto.ScaleUpReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp, err := c.ScaleUp(req)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(resp)
-
+		return rpc.ServeMsg(payload, c.ScaleUp)
 	case proto.MethodScaleDown:
-		var req proto.ScaleDownReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp, err := c.ScaleDown(req)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(resp)
-
+		return rpc.ServeMsg(payload, c.ScaleDown)
 	case proto.MethodSaveState:
-		var req proto.SaveStateReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := c.SaveState(req.Key); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.SaveStateResp{})
-
+		return rpc.ServeMsg(payload, func(req proto.SaveStateReq) (proto.SaveStateResp, error) {
+			return proto.SaveStateResp{}, c.SaveState(req.Key)
+		})
 	case proto.MethodControllerStats:
-		return rpc.Marshal(c.Stats())
-
+		return rpc.EncodeMsg(c.Stats())
 	case proto.MethodSetQuota:
-		var req proto.SetQuotaReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := c.SetQuota(req.Path, req.Quota); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.SetQuotaResp{})
-
+		return rpc.ServeMsg(payload, func(req proto.SetQuotaReq) (proto.SetQuotaResp, error) {
+			return proto.SetQuotaResp{}, c.SetQuota(req.Path, req.Quota)
+		})
 	case proto.MethodListPrefixes:
-		var req proto.ListPrefixesReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		resp, err := c.ListPrefixes(req.Job)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(resp)
-
+		return rpc.ServeMsg(payload, func(req proto.ListPrefixesReq) (proto.ListPrefixesResp, error) {
+			return c.ListPrefixes(req.Job)
+		})
 	default:
 		return nil, fmt.Errorf("controller: unknown method %#x: %w", method, core.ErrNotFound)
 	}

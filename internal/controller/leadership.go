@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"sync"
@@ -411,7 +412,7 @@ func (c *Controller) callPeer(addr string, method uint16, req, resp interface{})
 	if err != nil {
 		return err
 	}
-	err = cl.CallGob(method, req, resp)
+	err = cl.CallMsg(context.TODO(), method, req, resp)
 	if err != nil && errors.Is(err, core.ErrClosed) {
 		c.ctrlPeers.Drop(addr)
 	}

@@ -59,6 +59,14 @@ func (c *Controller) setTenantQuota(tenant string, q core.Quota) {
 	}
 }
 
+// hasTenantQuota reports whether tenant has a registered rate quota.
+func (c *Controller) hasTenantQuota(tenant string) bool {
+	c.qMu.Lock()
+	_, ok := c.tenantQuotas[tenant]
+	c.qMu.Unlock()
+	return ok
+}
+
 // pushTenantQuotas replays the full tenant quota table to one server
 // (registration-time catch-up).
 func (c *Controller) pushTenantQuotas(addr string) {

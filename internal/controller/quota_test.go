@@ -1,12 +1,14 @@
 package controller_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"jiffy/internal/core"
+	"jiffy/internal/obs"
 	"jiffy/internal/proto"
 	"jiffy/internal/server"
 )
@@ -196,5 +198,63 @@ func TestLeaseExpiryReleasesQuota(t *testing.T) {
 	}
 	if _, err := r.ctrl.CreatePrefix(proto.CreatePrefixReq{Path: "j/c/d", Type: core.DSKV, InitialBlocks: 2}); err != nil {
 		t.Fatalf("post-expiry provision under j/c: %v", err)
+	}
+}
+
+// TestDeregisterQuotalessJobsSkipTenantPush: deregistering jobs that
+// never carried a rate quota must not push SetTenantQuota to the
+// servers, whose gates would otherwise keep a tenant entry per dead
+// job. A job that did carry one still has it cleared everywhere.
+func TestDeregisterQuotalessJobsSkipTenantPush(t *testing.T) {
+	r := newRig(t, 2, 16, false)
+	pushes := func() float64 {
+		var n float64
+		for _, srv := range r.servers {
+			var b bytes.Buffer
+			srv.Obs().WritePrometheus(&b)
+			n += obs.ParsePrometheus(b.Bytes())[`jiffy_rpc_requests_total{role="server",method="SetTenantQuota"}`]
+		}
+		return n
+	}
+	tenants := func() int {
+		n := 0
+		for _, srv := range r.servers {
+			n += len(srv.Gate().Stats())
+		}
+		return n
+	}
+	basePushes, baseTenants := pushes(), tenants()
+	for i := 0; i < 20; i++ {
+		job := core.JobID(fmt.Sprintf("job-%d", i))
+		if err := r.ctrl.RegisterJob(job); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.ctrl.CreatePrefix(proto.CreatePrefixReq{Path: core.Path(job) + "/t", Type: core.DSKV, InitialBlocks: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.ctrl.DeregisterJob(job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := pushes() - basePushes; got != 0 {
+		t.Errorf("%v SetTenantQuota calls for quota-less jobs, want 0", got)
+	}
+	if got := tenants(); got != baseTenants {
+		t.Errorf("server gates hold %d tenants, want %d", got, baseTenants)
+	}
+
+	if err := r.ctrl.RegisterJob("q"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ctrl.SetQuota("q", core.Quota{OpsPerSec: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ctrl.DeregisterJob("q"); err != nil {
+		t.Fatal(err)
+	}
+	for _, srv := range r.servers {
+		if q := srv.Gate().Quota("q"); !q.IsZero() {
+			t.Errorf("deregistered job keeps quota %+v on a server", q)
+		}
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"sort"
 
+	"jiffy/internal/codec"
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
 	"jiffy/internal/hierarchy"
-	"jiffy/internal/rpc"
 )
 
 // Chain repair (§4.2.2 fault tolerance). When a memory server dies (or
@@ -686,7 +686,7 @@ func (c *Controller) flushedKey(t repairTarget) (string, bool) {
 		return "", false
 	}
 	var m manifest
-	if err := rpc.Unmarshal(data, &m); err != nil {
+	if err := codec.Unmarshal(data, &m); err != nil {
 		return "", false
 	}
 	for _, me := range m.Entries {

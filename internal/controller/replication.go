@@ -8,10 +8,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"jiffy/internal/codec"
 	"jiffy/internal/core"
 	"jiffy/internal/hierarchy"
 	"jiffy/internal/proto"
-	"jiffy/internal/rpc"
 )
 
 // Primary-backup replication of controller metadata (§4.2.1). The
@@ -54,8 +54,9 @@ const (
 	opServerProbation
 )
 
-// replOp is one op-log entry. The struct is flat — gob omits zero
-// fields, so each entry carries only what its kind uses.
+// replOp is one op-log entry. The struct is flat: the codec writes
+// every field, but a field its kind leaves unset costs only its zero
+// encoding (one byte for most, eight per float in Node.Quota).
 type replOp struct {
 	Kind opKind
 	Job  core.JobID
@@ -179,7 +180,7 @@ func (r *replicator) emit(op replOp) {
 	if !r.on.Load() {
 		return
 	}
-	data, err := rpc.Marshal(op)
+	data, err := codec.Marshal(op)
 	if err != nil {
 		r.c.log.Error("controller: replication op encode failed", "kind", op.Kind, "err", err)
 		return
@@ -340,7 +341,7 @@ func (r *replicator) pulseNow() {
 			r.c.log.Error("controller: bootstrap image build failed", "err", err)
 			break
 		}
-		data, err := rpc.Marshal(img)
+		data, err := codec.Marshal(img)
 		if err != nil {
 			r.c.log.Error("controller: bootstrap image encode failed", "err", err)
 			break
@@ -698,7 +699,7 @@ func (c *Controller) handleReplicate(req proto.CtrlReplicateReq) (proto.CtrlRepl
 				continue
 			}
 			var op replOp
-			if err := rpc.Unmarshal(raw, &op); err != nil {
+			if err := codec.Unmarshal(raw, &op); err != nil {
 				return proto.CtrlReplicateResp{}, err
 			}
 			c.applyOp(op)
@@ -719,7 +720,7 @@ func (c *Controller) handleBootstrap(req proto.CtrlBootstrapReq) (proto.CtrlBoot
 		return proto.CtrlBootstrapResp{}, err
 	}
 	var img groupImage
-	if err := rpc.Unmarshal(req.Image, &img); err != nil {
+	if err := codec.Unmarshal(req.Image, &img); err != nil {
 		return proto.CtrlBootstrapResp{}, err
 	}
 	if err := c.applyImage(img); err != nil {

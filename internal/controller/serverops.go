@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -25,7 +26,7 @@ func (e *serverUnreachableError) Error() string {
 
 func (e *serverUnreachableError) Unwrap() error { return e.err }
 
-// callServer performs one gob RPC against a memory server,
+// callServer performs one control RPC against a memory server,
 // classifying dial failures and broken sessions as
 // serverUnreachableError (and dropping the broken pooled session so
 // the next call re-dials instead of reusing a dead connection).
@@ -34,7 +35,7 @@ func (c *Controller) callServer(addr string, method uint16, req, resp interface{
 	if err != nil {
 		return &serverUnreachableError{addr: addr, err: err}
 	}
-	if err := cl.CallGob(method, req, resp); err != nil {
+	if err := cl.CallMsg(context.TODO(), method, req, resp); err != nil {
 		if errors.Is(err, core.ErrClosed) {
 			c.servers.Drop(addr)
 			return &serverUnreachableError{addr: addr, err: err}

@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"jiffy/internal/alloc"
+	"jiffy/internal/codec"
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
 	"jiffy/internal/hierarchy"
-	"jiffy/internal/rpc"
 )
 
 // Controller state checkpointing. The paper adopts primary-backup
@@ -85,7 +85,7 @@ func (c *Controller) SaveState(key string) error {
 		sh.mu.Unlock()
 	}
 
-	data, err := rpc.Marshal(img)
+	data, err := codec.Marshal(img)
 	if err != nil {
 		return err
 	}
@@ -164,7 +164,7 @@ func (c *Controller) RestoreState(key string) error {
 		return fmt.Errorf("controller: restore %q: %w", key, err)
 	}
 	var img stateImage
-	if err := rpc.Unmarshal(data, &img); err != nil {
+	if err := codec.Unmarshal(data, &img); err != nil {
 		return err
 	}
 

@@ -6,6 +6,9 @@
 // known local/lifecycle method (allowlisted), a deprecated
 // compatibility shim, or a *NoCtx view type. New public surface that
 // forgets the context fails CI rather than review.
+//
+// The one-codec check (GobImports) keeps encoding/gob out of non-test
+// code outside the exempt directories: messages use internal/codec.
 package lint
 
 import (

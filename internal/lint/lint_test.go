@@ -145,3 +145,53 @@ func Helper(x int) int { return x }
 		t.Errorf("violations = %v, want %v", got, want)
 	}
 }
+
+// TestRepoHasOneCodec runs the gob-import check over the module: only
+// the exempt directories and tests may import encoding/gob.
+func TestRepoHasOneCodec(t *testing.T) {
+	violations, err := GobImports("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range violations {
+		t.Errorf("%s", v)
+	}
+}
+
+// TestGobImportsCatches feeds the check a synthetic tree: gob imports
+// in ordinary code are flagged; tests, testdata and exempt directories
+// are not.
+func TestGobImportsCatches(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"a/uses.go":           "package a\n\nimport \"encoding/gob\"\n\nvar _ = gob.NewEncoder\n",
+		"a/uses_test.go":      "package a\n\nimport _ \"encoding/gob\"\n",
+		"a/clean.go":          "package a\n\nimport _ \"encoding/json\"\n",
+		"a/testdata/x.go":     "package x\n\nimport _ \"encoding/gob\"\n",
+		"internal/ds/snap.go": "package ds\n\nimport _ \"encoding/gob\"\n",
+		"examples/x/main.go":  "package main\n\nimport _ \"encoding/gob\"\n",
+		"b/renamed.go":        "package b\n\nimport g \"encoding/gob\"\n\nvar _ = g.NewDecoder\n",
+	}
+	for name, src := range files {
+		p := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	violations, err := GobImports(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, v := range violations {
+		rel, _ := filepath.Rel(root, v.Pos.Filename)
+		got = append(got, filepath.ToSlash(rel))
+	}
+	want := []string{"a/uses.go", "b/renamed.go"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("violations in %v, want %v", got, want)
+	}
+}

@@ -1,6 +1,7 @@
 // Package proto defines the control-plane RPC surface shared by the
 // controller, memory servers and clients: method identifiers and the
-// gob-encoded request/response messages. Data-plane operations use the
+// request/response messages, encoded with internal/codec (see
+// rpc.CallMsg and rpc.ServeMsg). Data-plane operations use the
 // compact binary codec in internal/ds instead and are identified by
 // MethodDataOp.
 package proto
@@ -92,7 +93,7 @@ const (
 
 // Memory-server methods.
 const (
-	// MethodDataOp executes a data-plane op (binary codec, not gob).
+	// MethodDataOp executes a data-plane op (the ds codec, not internal/codec).
 	MethodDataOp uint16 = 0x0101
 	// MethodCreateBlock installs a partition in a block.
 	MethodCreateBlock uint16 = 0x0102
@@ -423,7 +424,7 @@ type ReportTierResp struct{}
 // the active controller. Gen fences the stream: a standby that has
 // observed a higher leadership generation rejects the batch with
 // ErrNotLeader so a deposed leader demotes itself. FirstSeq is the
-// sequence number of Ops[0]; entries are gob-encoded replOp values
+// sequence number of Ops[0]; entries are codec-encoded replOp values
 // (see internal/controller). An empty Ops slice is a leadership
 // heartbeat.
 type CtrlReplicateReq struct {
@@ -438,7 +439,7 @@ type CtrlReplicateResp struct {
 	AckedSeq uint64
 }
 
-// CtrlBootstrapReq installs a full metadata snapshot (gob-encoded
+// CtrlBootstrapReq installs a full metadata snapshot (codec-encoded
 // group image, see internal/controller) on a standby. Gen fences it
 // like CtrlReplicateReq.
 type CtrlBootstrapReq struct {

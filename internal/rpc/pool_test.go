@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -116,9 +117,9 @@ func TestPoolSessionLifecycle(t *testing.T) {
 func TestPoolPipelinedCallsShareOneSession(t *testing.T) {
 	addr := "mem://pool-pipelined"
 	newEchoServer(t, addr)
-	dials := 0
+	var dials atomic.Int32
 	pool := NewPool(func(a string) (*Client, error) {
-		dials++
+		dials.Add(1)
 		return Dial(a)
 	})
 	defer pool.Close()
@@ -153,7 +154,49 @@ func TestPoolPipelinedCallsShareOneSession(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if dials != 1 {
-		t.Errorf("dials = %d, want 1 (pipelined calls must share a session)", dials)
+	if n := dials.Load(); n != 1 {
+		t.Errorf("dials = %d, want 1 (pipelined calls must share a session)", n)
+	}
+}
+
+// TestPoolConcurrentMissesShareOneDial holds the first dial open while
+// more callers miss the cache: they must wait for it rather than dial
+// their own sessions, and all receive the one it produced.
+func TestPoolConcurrentMissesShareOneDial(t *testing.T) {
+	addr := "mem://pool-single-flight"
+	newEchoServer(t, addr)
+	var dials atomic.Int32
+	release := make(chan struct{})
+	pool := NewPool(func(a string) (*Client, error) {
+		dials.Add(1)
+		<-release
+		return Dial(a)
+	})
+	defer pool.Close()
+
+	const callers = 8
+	got := make(chan *Client, callers)
+	for i := 0; i < callers; i++ {
+		go func() {
+			c, err := pool.Get(addr)
+			if err != nil {
+				t.Error(err)
+			}
+			got <- c
+		}()
+	}
+	for dials.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // let the others reach the wait
+	close(release)
+	first := <-got
+	for i := 1; i < callers; i++ {
+		if c := <-got; c != first {
+			t.Fatal("callers received different sessions")
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("dials = %d, want 1", n)
 	}
 }

@@ -72,7 +72,7 @@ func TestCallEcho(t *testing.T) {
 	}
 }
 
-func TestCallGob(t *testing.T) {
+func TestCallMsg(t *testing.T) {
 	addr, _ := newTestServer(t)
 	c, err := Dial(addr)
 	if err != nil {
@@ -84,7 +84,7 @@ func TestCallGob(t *testing.T) {
 		B string
 	}
 	var out msg
-	if err := c.CallGob(methodEcho, msg{A: 42, B: "x"}, &out); err != nil {
+	if err := c.CallMsg(context.Background(), methodEcho, msg{A: 42, B: "x"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.A != 42 || out.B != "x" {
@@ -267,28 +267,6 @@ func TestOnDisconnectFires(t *testing.T) {
 	}
 	if fired.Load() == 0 {
 		t.Error("OnDisconnect never fired")
-	}
-}
-
-func TestMarshalUnmarshalRoundTrip(t *testing.T) {
-	type payload struct {
-		Path   core.Path
-		Blocks []core.BlockInfo
-	}
-	in := payload{
-		Path:   core.MustPath("job", "T1"),
-		Blocks: []core.BlockInfo{{ID: 1, Server: "a"}, {ID: 2, Server: "b"}},
-	}
-	data, err := Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out payload
-	if err := Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Path != in.Path || len(out.Blocks) != 2 || out.Blocks[1].ID != 2 {
-		t.Errorf("round trip = %+v", out)
 	}
 }
 

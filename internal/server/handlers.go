@@ -16,7 +16,7 @@ import (
 // handle is the memory server's RPC dispatch. Data-plane ops build
 // their responses as scatter-gather views into block memory (see
 // handleDataOp); the control-plane methods reply with freshly
-// gob-encoded bodies.
+// encoded message bodies (see internal/codec).
 func (s *Server) handle(ctx context.Context, conn *rpc.ServerConn, method uint16, payload []byte) (rpc.Response, error) {
 	switch method {
 	case proto.MethodDataOp:
@@ -34,170 +34,73 @@ func (s *Server) handle(ctx context.Context, conn *rpc.ServerConn, method uint16
 func (s *Server) handleControl(ctx context.Context, conn *rpc.ServerConn, method uint16, payload []byte) ([]byte, error) {
 	switch method {
 	case proto.MethodCreateBlock:
-		var req proto.CreateBlockReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := s.createBlock(req); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.CreateBlockResp{})
+		return rpc.ServeMsg(payload, func(req proto.CreateBlockReq) (proto.CreateBlockResp, error) {
+			return proto.CreateBlockResp{}, s.createBlock(req)
+		})
 
 	case proto.MethodDeleteBlock:
-		var req proto.DeleteBlockReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		// Take the tier object with the block: a deleted block's demoted
-		// contents must never be resurrected (block IDs are recycled).
-		if b, err := s.store.Get(req.Block); err == nil {
-			b.TierMu.Lock()
-			if b.TierKey != "" {
-				if derr := s.persist.Delete(b.TierKey); derr != nil {
-					s.log.Debug("server: tier object delete failed", "key", b.TierKey, "err", derr)
-				}
-				b.TierKey = ""
-			}
-			b.TierMu.Unlock()
-		}
-		if err := s.store.Delete(req.Block); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.DeleteBlockResp{})
+		return rpc.ServeMsg(payload, func(req proto.DeleteBlockReq) (proto.DeleteBlockResp, error) {
+			return proto.DeleteBlockResp{}, s.deleteBlock(req.Block)
+		})
 
 	case proto.MethodSetNext:
-		var req proto.SetNextReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		// Sealing is a sequenced mutation: on replicated queues it
-		// flows down the chain in order with the enqueues it follows.
-		if _, err := s.applyMutation(ctx, req.Block, core.OpQueueSetNext,
-			[][]byte{ds.RedirectPayload(req.Next)}); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.SetNextResp{})
+		return rpc.ServeMsg(payload, func(req proto.SetNextReq) (proto.SetNextResp, error) {
+			// Sealing is a sequenced mutation: on replicated queues it
+			// flows down the chain in order with the enqueues it follows.
+			_, err := s.applyMutation(ctx, req.Block, core.OpQueueSetNext,
+				[][]byte{ds.RedirectPayload(req.Next)})
+			return proto.SetNextResp{}, err
+		})
 
 	case proto.MethodMoveSlots:
-		var req proto.MoveSlotsReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		moved, err := s.moveSlots(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.MoveSlotsResp{Moved: moved})
+		return rpc.ServeMsg(payload, func(req proto.MoveSlotsReq) (proto.MoveSlotsResp, error) {
+			moved, err := s.moveSlots(ctx, req)
+			return proto.MoveSlotsResp{Moved: moved}, err
+		})
 
 	case proto.MethodExportSlots:
-		var req proto.ExportSlotsReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		entries, err := s.exportSlots(req)
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.ExportSlotsResp{Entries: entries})
+		return rpc.ServeMsg(payload, func(req proto.ExportSlotsReq) (proto.ExportSlotsResp, error) {
+			entries, err := s.exportSlots(req)
+			return proto.ExportSlotsResp{Entries: entries}, err
+		})
 
 	case proto.MethodImportEntries:
-		var req proto.ImportEntriesReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := s.importEntries(req); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.ImportEntriesResp{})
+		return rpc.ServeMsg(payload, func(req proto.ImportEntriesReq) (proto.ImportEntriesResp, error) {
+			return proto.ImportEntriesResp{}, s.importEntries(req)
+		})
 
 	case proto.MethodSetOwnedSlots:
-		var req proto.SetOwnedSlotsReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		b, err := s.resolve(req.Block)
-		if err != nil {
-			return nil, err
-		}
-		defer b.EndOp()
-		kv, ok := b.Partition.(*ds.KV)
-		if !ok {
-			return nil, fmt.Errorf("server: block %v is not a kv shard: %w",
-				req.Block, core.ErrWrongType)
-		}
-		kv.SetOwned(req.Ranges)
-		return rpc.Marshal(proto.SetOwnedSlotsResp{})
+		return rpc.ServeMsg(payload, func(req proto.SetOwnedSlotsReq) (proto.SetOwnedSlotsResp, error) {
+			return proto.SetOwnedSlotsResp{}, s.setOwnedSlots(req)
+		})
 
 	case proto.MethodFlushBlock:
-		var req proto.FlushBlockReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		b, err := s.store.Get(req.Block)
-		if err != nil {
-			return nil, err
-		}
-		// Tiered fast path: a demoted block's snapshot already sits in
-		// the persist tier — copy it under the flush key instead of
-		// rehydrating. This is what lets an idle tenant's lease expire
-		// without pulling all its cold blocks back into memory.
-		if done, n, ferr := s.flushTiered(b, req.Key); done {
-			if ferr != nil {
-				return nil, ferr
-			}
-			return rpc.Marshal(proto.FlushBlockResp{Bytes: n})
-		}
-		if err := s.resolveBlock(b); err != nil {
-			return nil, err
-		}
-		defer b.EndOp()
-		snap, err := b.Partition.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		if err := s.persist.Put(req.Key, snap); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.FlushBlockResp{Bytes: len(snap)})
+		return rpc.ServeMsg(payload, func(req proto.FlushBlockReq) (proto.FlushBlockResp, error) {
+			n, err := s.flushBlock(req)
+			return proto.FlushBlockResp{Bytes: n}, err
+		})
 
 	case proto.MethodLoadBlock:
-		var req proto.LoadBlockReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		b, err := s.resolve(req.Block)
-		if err != nil {
-			return nil, err
-		}
-		defer b.EndOp()
-		snap, err := s.persist.Get(req.Key)
-		if err != nil {
-			return nil, err
-		}
-		if err := b.Partition.Restore(snap); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.LoadBlockResp{})
+		return rpc.ServeMsg(payload, func(req proto.LoadBlockReq) (proto.LoadBlockResp, error) {
+			return proto.LoadBlockResp{}, s.restoreBlock(req.Block, func() ([]byte, error) {
+				return s.persist.Get(req.Key)
+			})
+		})
 
 	case proto.MethodSubscribe:
-		var req proto.SubscribeReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		id := s.subs.add(conn, req.Blocks, req.Ops)
-		return rpc.Marshal(proto.SubscribeResp{SubID: id})
+		return rpc.ServeMsg(payload, func(req proto.SubscribeReq) (proto.SubscribeResp, error) {
+			return proto.SubscribeResp{SubID: s.subs.add(conn, req.Blocks, req.Ops)}, nil
+		})
 
 	case proto.MethodUnsubscribe:
-		var req proto.UnsubscribeReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		s.subs.remove(req.SubID)
-		return rpc.Marshal(proto.UnsubscribeResp{})
+		return rpc.ServeMsg(payload, func(req proto.UnsubscribeReq) (proto.UnsubscribeResp, error) {
+			s.subs.remove(req.SubID)
+			return proto.UnsubscribeResp{}, nil
+		})
 
 	case proto.MethodServerStats:
 		blocks, used, _ := s.store.Stats()
-		return rpc.Marshal(proto.ServerStatsResp{
+		return rpc.EncodeMsg(proto.ServerStatsResp{
 			Blocks:    blocks,
 			UsedBytes: used,
 			Capacity:  blocks * s.cfg.BlockSize,
@@ -205,73 +108,131 @@ func (s *Server) handleControl(ctx context.Context, conn *rpc.ServerConn, method
 		})
 
 	case proto.MethodSnapshotBlock:
-		var req proto.SnapshotBlockReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		b, err := s.resolve(req.Block)
-		if err != nil {
-			return nil, err
-		}
-		defer b.EndOp()
-		snap, err := b.Partition.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.SnapshotBlockResp{Snapshot: snap})
+		return rpc.ServeMsg(payload, func(req proto.SnapshotBlockReq) (proto.SnapshotBlockResp, error) {
+			snap, err := s.snapshotBlock(req.Block)
+			return proto.SnapshotBlockResp{Snapshot: snap}, err
+		})
 
 	case proto.MethodRestoreBlock:
-		var req proto.RestoreBlockReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		b, err := s.resolve(req.Block)
-		if err != nil {
-			return nil, err
-		}
-		defer b.EndOp()
-		if err := b.Partition.Restore(req.Snapshot); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.RestoreBlockResp{})
+		return rpc.ServeMsg(payload, func(req proto.RestoreBlockReq) (proto.RestoreBlockResp, error) {
+			return proto.RestoreBlockResp{}, s.restoreBlock(req.Block, func() ([]byte, error) {
+				return req.Snapshot, nil
+			})
+		})
 
 	case proto.MethodReplicate:
-		var req proto.ReplicateReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		if err := s.applyReplicated(ctx, req); err != nil {
-			return nil, err
-		}
-		return rpc.Marshal(proto.ReplicateResp{})
+		return rpc.ServeMsg(payload, func(req proto.ReplicateReq) (proto.ReplicateResp, error) {
+			return proto.ReplicateResp{}, s.applyReplicated(ctx, req)
+		})
 
 	case proto.MethodSetTenantQuota:
-		var req proto.SetTenantQuotaReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		s.gate.SetQuota(req.Tenant, req.Quota)
-		return rpc.Marshal(proto.SetTenantQuotaResp{})
+		return rpc.ServeMsg(payload, func(req proto.SetTenantQuotaReq) (proto.SetTenantQuotaResp, error) {
+			s.gate.SetQuota(req.Tenant, req.Quota)
+			return proto.SetTenantQuotaResp{}, nil
+		})
 
 	case proto.MethodUpdateChain:
-		var req proto.UpdateChainReq
-		if err := rpc.Unmarshal(payload, &req); err != nil {
-			return nil, err
-		}
-		b, err := s.store.Get(req.Block)
-		if err != nil {
-			return nil, err
-		}
-		if req.Seal {
-			b.Seal()
-		} else {
-			b.SetChain(req.Chain, req.Gen)
-		}
-		return rpc.Marshal(proto.UpdateChainResp{})
+		return rpc.ServeMsg(payload, func(req proto.UpdateChainReq) (proto.UpdateChainResp, error) {
+			b, err := s.store.Get(req.Block)
+			if err != nil {
+				return proto.UpdateChainResp{}, err
+			}
+			if req.Seal {
+				b.Seal()
+			} else {
+				b.SetChain(req.Chain, req.Gen)
+			}
+			return proto.UpdateChainResp{}, nil
+		})
 
 	default:
 		return nil, fmt.Errorf("server: unknown method %#x: %w", method, core.ErrNotFound)
 	}
+}
+
+// deleteBlock frees a block together with its tier object: a deleted
+// block's demoted contents must never be resurrected (block IDs are
+// recycled).
+func (s *Server) deleteBlock(id core.BlockID) error {
+	if b, err := s.store.Get(id); err == nil {
+		b.TierMu.Lock()
+		if b.TierKey != "" {
+			if derr := s.persist.Delete(b.TierKey); derr != nil {
+				s.log.Debug("server: tier object delete failed", "key", b.TierKey, "err", derr)
+			}
+			b.TierKey = ""
+		}
+		b.TierMu.Unlock()
+	}
+	return s.store.Delete(id)
+}
+
+// setOwnedSlots overwrites a KV block's owned slot ranges.
+func (s *Server) setOwnedSlots(req proto.SetOwnedSlotsReq) error {
+	b, err := s.resolve(req.Block)
+	if err != nil {
+		return err
+	}
+	defer b.EndOp()
+	kv, ok := b.Partition.(*ds.KV)
+	if !ok {
+		return fmt.Errorf("server: block %v is not a kv shard: %w", req.Block, core.ErrWrongType)
+	}
+	kv.SetOwned(req.Ranges)
+	return nil
+}
+
+// flushBlock snapshots a block into the persist store under req.Key
+// and reports the snapshot size.
+func (s *Server) flushBlock(req proto.FlushBlockReq) (int, error) {
+	b, err := s.store.Get(req.Block)
+	if err != nil {
+		return 0, err
+	}
+	// Tiered fast path: a demoted block's snapshot already sits in
+	// the persist tier — copy it under the flush key instead of
+	// rehydrating. This is what lets an idle tenant's lease expire
+	// without pulling all its cold blocks back into memory.
+	if done, n, ferr := s.flushTiered(b, req.Key); done {
+		return n, ferr
+	}
+	if err := s.resolveBlock(b); err != nil {
+		return 0, err
+	}
+	defer b.EndOp()
+	snap, err := b.Partition.Snapshot()
+	if err != nil {
+		return 0, err
+	}
+	if err := s.persist.Put(req.Key, snap); err != nil {
+		return 0, err
+	}
+	return len(snap), nil
+}
+
+// snapshotBlock returns a block's serialized partition state.
+func (s *Server) snapshotBlock(id core.BlockID) ([]byte, error) {
+	b, err := s.resolve(id)
+	if err != nil {
+		return nil, err
+	}
+	defer b.EndOp()
+	return b.Partition.Snapshot()
+}
+
+// restoreBlock replaces a block's partition state with the snapshot
+// that load fetches while the block is pinned.
+func (s *Server) restoreBlock(id core.BlockID, load func() ([]byte, error)) error {
+	b, err := s.resolve(id)
+	if err != nil {
+		return err
+	}
+	defer b.EndOp()
+	snap, err := load()
+	if err != nil {
+		return err
+	}
+	return b.Partition.Restore(snap)
 }
 
 // handleInline is the read-pump fast path for small single data-plane
@@ -703,7 +664,7 @@ func (s *Server) moveSlots(ctx context.Context, req proto.MoveSlotsReq) (int, er
 			return 0, err
 		}
 		var resp proto.ImportEntriesResp
-		if err := peer.CallGobCtx(ctx, proto.MethodImportEntries, imp, &resp); err != nil {
+		if err := peer.CallMsg(ctx, proto.MethodImportEntries, imp, &resp); err != nil {
 			return 0, err
 		}
 	}

@@ -102,7 +102,7 @@ func (s *Server) forward(ctx context.Context, next core.BlockInfo, seq, gen uint
 	}
 	var resp proto.ReplicateResp
 	start := s.clk.Now()
-	err = peer.CallGobCtx(ctx, proto.MethodReplicate, proto.ReplicateReq{
+	err = peer.CallMsg(ctx, proto.MethodReplicate, proto.ReplicateReq{
 		Block: next.ID,
 		Op:    op,
 		Args:  args,

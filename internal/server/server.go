@@ -8,6 +8,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -264,7 +265,7 @@ func (s *Server) callCtrl(method uint16, req, resp any) error {
 		addr := s.ctrlAddrs[idx]
 		ctrl, err := s.peers.Get(addr)
 		if err == nil {
-			err = ctrl.CallGob(method, req, resp)
+			err = ctrl.CallMsg(context.TODO(), method, req, resp)
 		}
 		if err == nil {
 			s.ctrlLeader.Store(int32(idx))

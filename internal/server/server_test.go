@@ -1,11 +1,13 @@
 package server_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	"jiffy/internal/codec"
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
 	"jiffy/internal/persist"
@@ -43,7 +45,7 @@ func createBlock(t *testing.T, c *rpc.Client, id core.BlockID, typ core.DSType,
 	slots []ds.SlotRange, chunk int, chain core.ReplicaChain) {
 	t.Helper()
 	var resp proto.CreateBlockResp
-	err := c.CallGob(proto.MethodCreateBlock, proto.CreateBlockReq{
+	err := c.CallMsg(context.Background(), proto.MethodCreateBlock, proto.CreateBlockReq{
 		Block: id, Path: "j/t", Type: typ,
 		Capacity: 64 * core.KB, NumSlots: 64, Slots: slots, Chunk: chunk, Chain: chain,
 	}, &resp)
@@ -72,7 +74,7 @@ func TestDataOpLifecycle(t *testing.T) {
 	}
 	// Delete the block; further ops report stale metadata.
 	var dresp proto.DeleteBlockResp
-	if err := c.CallGob(proto.MethodDeleteBlock, proto.DeleteBlockReq{Block: 1}, &dresp); err != nil {
+	if err := c.CallMsg(context.Background(), proto.MethodDeleteBlock, proto.DeleteBlockReq{Block: 1}, &dresp); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dataOp(c, 1, core.OpGet, []byte("k")); !errors.Is(err, core.ErrStaleEpoch) {
@@ -85,7 +87,7 @@ func TestQueueRedirectOverRPC(t *testing.T) {
 	createBlock(t, c, 1, core.DSQueue, nil, 0, nil)
 	createBlock(t, c, 2, core.DSQueue, nil, 1, nil)
 	var resp proto.SetNextResp
-	err := c.CallGob(proto.MethodSetNext, proto.SetNextReq{
+	err := c.CallMsg(context.Background(), proto.MethodSetNext, proto.SetNextReq{
 		Block: 1, Next: core.BlockInfo{ID: 2, Server: "elsewhere"},
 	}, &resp)
 	if err != nil {
@@ -113,7 +115,7 @@ func TestMoveSlotsLocal(t *testing.T) {
 		}
 	}
 	var mresp proto.MoveSlotsResp
-	err := c.CallGob(proto.MethodMoveSlots, proto.MoveSlotsReq{
+	err := c.CallMsg(context.Background(), proto.MethodMoveSlots, proto.MoveSlotsReq{
 		Block:  1,
 		Ranges: []ds.SlotRange{{Lo: 32, Hi: 63}},
 		Target: core.BlockInfo{ID: 2, Server: s.Addr()},
@@ -153,7 +155,7 @@ func TestMoveSlotsRemote(t *testing.T) {
 		}
 	}
 	var mresp proto.MoveSlotsResp
-	err := c1.CallGob(proto.MethodMoveSlots, proto.MoveSlotsReq{
+	err := c1.CallMsg(context.Background(), proto.MethodMoveSlots, proto.MoveSlotsReq{
 		Block:  1,
 		Ranges: []ds.SlotRange{{Lo: 0, Hi: 63}},
 		Target: core.BlockInfo{ID: 2, Server: s2.Addr()},
@@ -176,7 +178,7 @@ func TestFlushLoadBlock(t *testing.T) {
 	createBlock(t, c, 1, core.DSKV, []ds.SlotRange{{Lo: 0, Hi: 63}}, 0, nil)
 	dataOp(c, 1, core.OpPut, []byte("persist-me"), []byte("v1"))
 	var fresp proto.FlushBlockResp
-	if err := c.CallGob(proto.MethodFlushBlock, proto.FlushBlockReq{Block: 1, Key: "snap/1"}, &fresp); err != nil {
+	if err := c.CallMsg(context.Background(), proto.MethodFlushBlock, proto.FlushBlockReq{Block: 1, Key: "snap/1"}, &fresp); err != nil {
 		t.Fatal(err)
 	}
 	if fresp.Bytes == 0 {
@@ -188,7 +190,7 @@ func TestFlushLoadBlock(t *testing.T) {
 	// Clobber and restore.
 	dataOp(c, 1, core.OpPut, []byte("persist-me"), []byte("dirty"))
 	var lresp proto.LoadBlockResp
-	if err := c.CallGob(proto.MethodLoadBlock, proto.LoadBlockReq{Block: 1, Key: "snap/1"}, &lresp); err != nil {
+	if err := c.CallMsg(context.Background(), proto.MethodLoadBlock, proto.LoadBlockReq{Block: 1, Key: "snap/1"}, &lresp); err != nil {
 		t.Fatal(err)
 	}
 	res, err := dataOp(c, 1, core.OpGet, []byte("persist-me"))
@@ -239,12 +241,12 @@ func TestSubscriptionDelivery(t *testing.T) {
 	notifs := make(chan proto.Notification, 16)
 	c.OnPush(func(subID uint64, payload []byte) {
 		var n proto.Notification
-		if rpc.Unmarshal(payload, &n) == nil {
+		if codec.Unmarshal(payload, &n) == nil {
 			notifs <- n
 		}
 	})
 	var sresp proto.SubscribeResp
-	err := c.CallGob(proto.MethodSubscribe, proto.SubscribeReq{
+	err := c.CallMsg(context.Background(), proto.MethodSubscribe, proto.SubscribeReq{
 		Blocks: []core.BlockID{1}, Ops: []core.OpType{core.OpEnqueue},
 	}, &sresp)
 	if err != nil {
@@ -268,7 +270,7 @@ func TestSubscriptionDelivery(t *testing.T) {
 	}
 	// Unsubscribe stops delivery.
 	var uresp proto.UnsubscribeResp
-	c.CallGob(proto.MethodUnsubscribe, proto.UnsubscribeReq{SubID: sresp.SubID}, &uresp)
+	c.CallMsg(context.Background(), proto.MethodUnsubscribe, proto.UnsubscribeReq{SubID: sresp.SubID}, &uresp)
 	dataOp(c, 1, core.OpEnqueue, []byte("after-unsub"))
 	select {
 	case n := <-notifs:
@@ -282,7 +284,7 @@ func TestServerStats(t *testing.T) {
 	createBlock(t, c, 1, core.DSKV, []ds.SlotRange{{Lo: 0, Hi: 63}}, 0, nil)
 	dataOp(c, 1, core.OpPut, []byte("k"), []byte("0123456789"))
 	var stats proto.ServerStatsResp
-	if err := c.CallGob(proto.MethodServerStats, proto.ServerStatsReq{}, &stats); err != nil {
+	if err := c.CallMsg(context.Background(), proto.MethodServerStats, proto.ServerStatsReq{}, &stats); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Blocks != 1 || stats.UsedBytes != 11 || stats.Ops < 1 {
@@ -293,7 +295,7 @@ func TestServerStats(t *testing.T) {
 func TestCreateBlockValidation(t *testing.T) {
 	_, c, _ := newServer(t)
 	var resp proto.CreateBlockResp
-	err := c.CallGob(proto.MethodCreateBlock, proto.CreateBlockReq{
+	err := c.CallMsg(context.Background(), proto.MethodCreateBlock, proto.CreateBlockReq{
 		Block: 1, Type: core.DSNone, Capacity: 1024,
 	}, &resp)
 	if !errors.Is(err, core.ErrWrongType) {
@@ -301,7 +303,7 @@ func TestCreateBlockValidation(t *testing.T) {
 	}
 	// Duplicate creation rejected.
 	createBlock(t, c, 2, core.DSFile, nil, 0, nil)
-	err = c.CallGob(proto.MethodCreateBlock, proto.CreateBlockReq{
+	err = c.CallMsg(context.Background(), proto.MethodCreateBlock, proto.CreateBlockReq{
 		Block: 2, Type: core.DSFile, Capacity: 1024,
 	}, &resp)
 	if !errors.Is(err, core.ErrExists) {

@@ -6,6 +6,7 @@ import (
 	"jiffy/internal/core"
 	"jiffy/internal/proto"
 	"jiffy/internal/rpc"
+	"jiffy/internal/wire"
 )
 
 // subRegistry implements the data plane's subscription map (§4.2.2):
@@ -119,7 +120,7 @@ func (s *Server) notify(block core.BlockID, op core.OpType, data []byte) {
 	if len(targets) == 0 {
 		return
 	}
-	payload, err := rpc.Marshal(proto.Notification{Block: block, Op: op, Data: data})
+	payload, err := rpc.EncodeMsg(proto.Notification{Block: block, Op: op, Data: data})
 	if err != nil {
 		return
 	}
@@ -128,4 +129,6 @@ func (s *Server) notify(block core.BlockID, op core.OpType, data []byte) {
 			s.log.Debug("server: notification push failed", "sub", sub.id, "err", err)
 		}
 	}
+	// Push consumes the payload before returning.
+	wire.PutBuf(payload)
 }
