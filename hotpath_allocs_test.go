@@ -8,6 +8,11 @@ package jiffy_test
 // per-call allocation (a lost pooled buffer, a regrown channel, an
 // escaping frame struct) fails the test rather than quietly eroding
 // the single-digit-microsecond budget.
+//
+// The counts are asserted only in non-race builds: the race runtime
+// deliberately drops a share of sync.Pool puts, so pooled frames and
+// waiters are re-allocated and counted. Under -race the round trips
+// still run, as a race check of the pooled path.
 
 import (
 	"context"
@@ -67,7 +72,7 @@ func TestKVPutSingleAllocs(t *testing.T) {
 		}
 		i++
 	})
-	if allocs > 6 {
+	if allocs > 6 && !raceEnabled {
 		t.Fatalf("KV put single-op allocates %.1f objects/op, want <= 6", allocs)
 	}
 }
@@ -100,7 +105,7 @@ func TestKVGetSingleAllocs(t *testing.T) {
 		}
 		i++
 	})
-	if allocs > 8 {
+	if allocs > 8 && !raceEnabled {
 		t.Fatalf("KV get single-op allocates %.1f objects/op, want <= 8", allocs)
 	}
 }
@@ -124,7 +129,7 @@ func TestQueueEnqueueSingleAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 5 {
+	if allocs > 5 && !raceEnabled {
 		t.Fatalf("queue enqueue single-op allocates %.1f objects/op, want <= 5", allocs)
 	}
 }

@@ -19,7 +19,6 @@
 // context.Context whose deadline bounds the call (taking precedence
 // over the session-level RPC timeout) and whose cancellation fails
 // pending calls with context.Canceled wrapped in the typed errors.
-// Pre-context signatures survive as deprecated NoCtx views (compat.go).
 package client
 
 import (
@@ -79,7 +78,6 @@ type config struct {
 	timeout     time.Duration
 	exporter    obs.SpanExporter
 	shards      int
-	busyPoll    bool
 	breaker     BreakerPolicy
 	breakerOn   bool
 	hedge       HedgePolicy
@@ -171,15 +169,6 @@ func WithBreaker(p BreakerPolicy) Option {
 // workloads.
 func WithHedgedReads(p HedgePolicy) Option {
 	return func(c *config) { c.hedge, c.hedgeOn = p, true }
-}
-
-// WithBusyPoll puts data-plane sessions in busy-poll mode: callers
-// spin briefly before parking while waiting for a response, shaving
-// scheduler wakeup latency off small-op round trips at the price of
-// CPU burned spinning. Best for latency-critical workloads with cores
-// to spare; leave off when oversubscribed.
-func WithBusyPoll() Option {
-	return func(c *config) { c.busyPoll = true }
 }
 
 // Client is one application's connection to a Jiffy cluster: a
@@ -280,15 +269,12 @@ func Dial(ctx context.Context, opts ...Option) (*Client, error) {
 	c.reg.RegisterCollector(c.writeBreakerStates)
 
 	// Control and data planes get separate dial chains: session
-	// sharding and busy-poll are data-path latency tools, pointless for
-	// the occasional control call.
+	// sharding is a data-path latency tool, pointless for the
+	// occasional control call.
 	dataDial := cfg.dial
 	if dataDial == nil && cfg.shards > 1 {
 		n := cfg.shards
 		dataDial = func(addr string) (*rpc.Client, error) { return rpc.DialShards(addr, n) }
-	}
-	if cfg.busyPoll {
-		dataDial = rpc.WithBusyPoll(dataDial)
 	}
 	dataDial = rpc.WithTimeout(dataDial, cfg.timeout)
 	dataDial = rpc.WithInstrumentation(dataDial, c.rpcm, c.tracer)
@@ -330,22 +316,6 @@ func Dial(ctx context.Context, opts ...Option) (*Client, error) {
 		return nil, fmt.Errorf("client: connect: no controller reachable: %w", lastErr)
 	}
 	return c, nil
-}
-
-// Connect dials a single-controller cluster (connect(jiffyAddress) in
-// Table 1).
-//
-// Deprecated: use Dial with WithControllers, which also accepts a
-// replicated controller group.
-func Connect(ctx context.Context, controllerAddr string, opts ...Option) (*Client, error) {
-	return Dial(ctx, append(opts, WithControllers(controllerAddr))...)
-}
-
-// ConnectMulti dials a controller group.
-//
-// Deprecated: use Dial with WithControllers.
-func ConnectMulti(ctx context.Context, controllerAddrs []string, opts ...Option) (*Client, error) {
-	return Dial(ctx, append(opts, WithControllers(controllerAddrs...))...)
 }
 
 // Obs exposes the client-side metric registry (per-method RPC stats,

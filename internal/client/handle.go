@@ -101,27 +101,26 @@ func (h *handle) do(ctx context.Context, info core.BlockInfo, op core.OpType, ar
 		h.c.health.record(info.Server, 0, true)
 		return nil, fmt.Errorf("client: dial %s: %v: %w", info.Server, err, core.ErrClosed)
 	}
-	// Encode into a pooled buffer: Call stages the frame into the
-	// session's write buffer before returning, so the request bytes can
-	// be recycled immediately after. Requests carrying large bodies
-	// (writes, puts) skip the encode copy entirely: the header and
-	// length prefixes go into the pooled buffer and the caller's arg
-	// slices ride to the socket as scatter-gather segments.
-	var payload []byte
-	var pooled bool
+	// Encode into a pooled buffer: the call stages the frame into the
+	// session's write buffer before blocking, so the request bytes can be
+	// recycled right after. Requests carrying large bodies (writes, puts)
+	// skip the encode copy entirely: the header and length prefixes go
+	// into the pooled buffer and the caller's arg slices ride to the
+	// socket as scatter-gather segments. Small replies come back in
+	// borrowed memory, returned to the pool once the values are decoded
+	// (and copied) out.
 	start := time.Now()
+	var body []byte
+	var vec [][]byte
+	buf := wire.GetBuf()
 	if argsBytes(args) >= vecRequestThreshold {
-		vec, buf := ds.AppendRequestVec(wire.GetBuf(), op, info.ID, args)
-		payload, err = conn.CallVecContext(ctx, proto.MethodDataOp, vec)
-		wire.PutBuf(buf)
+		vec, buf = ds.AppendRequestVec(buf, op, info.ID, args)
 	} else {
-		// Small ops borrow the response: the session hands back a pooled
-		// buffer instead of a per-call heap copy, and do() returns it to
-		// the pool once the values are decoded (and copied) out.
-		req := ds.AppendRequest(wire.GetBuf(), op, info.ID, args)
-		payload, pooled, err = conn.CallBorrowedContext(ctx, proto.MethodDataOp, req)
-		wire.PutBuf(req)
+		buf = ds.AppendRequest(buf, op, info.ID, args)
+		body = buf
 	}
+	payload, pooled, err := conn.CallRaw(ctx, proto.MethodDataOp, body, vec)
+	wire.PutBuf(buf)
 	// Session failures strike the server's health; anything the server
 	// actually answered (including op-level errors) is a latency sample.
 	// Caller-context expiry is neither: it says nothing about the server.
@@ -202,8 +201,15 @@ func (h *handle) doBatch(ctx context.Context, server string, ops []ds.BatchOp) (
 	}
 	req := ds.AppendBatchRequest(wire.GetBuf(), ops)
 	start := time.Now()
-	payload, err := conn.CallContext(ctx, proto.MethodDataOpBatch, req)
+	payload, pooled, err := conn.CallRaw(ctx, proto.MethodDataOpBatch, req, nil)
 	wire.PutBuf(req)
+	if pooled {
+		// The decoded results alias the reply: copy it out of the
+		// borrowed buffer once, up front.
+		owned := append([]byte(nil), payload...)
+		wire.PutBuf(payload)
+		payload = owned
+	}
 	if cerr := ctxErr(err); cerr == nil {
 		h.c.health.record(server, time.Since(start), err != nil && isConnErr(err))
 	}

@@ -18,7 +18,7 @@ func (c *Client) CallMsg(ctx context.Context, method uint16, req, resp any) erro
 		wire.PutBuf(payload)
 		return fmt.Errorf("rpc: encode %s: %w", methodLabel(method), err)
 	}
-	out, pooled, err := c.CallBorrowedContext(ctx, method, payload)
+	out, pooled, err := c.CallRaw(ctx, method, payload, nil)
 	wire.PutBuf(payload)
 	if err == nil && resp != nil {
 		if err = codec.Unmarshal(out, resp); err != nil {

@@ -38,7 +38,7 @@ func TestSpanPropagation(t *testing.T) {
 			defer c.Close()
 			c.SetInstrumentation(obs.NewRPCMetrics("client"), obs.NewTracer(cliRing, nil), bound)
 
-			out, err := c.CallContext(context.Background(), proto.MethodDataOp, []byte("ping"))
+			out, err := callCtx(context.Background(), c, proto.MethodDataOp, []byte("ping"))
 			if err != nil || !bytes.Equal(out, []byte("ping")) {
 				t.Fatalf("call: %q, %v", out, err)
 			}
@@ -93,7 +93,7 @@ func TestSpanPropagationUntracedServer(t *testing.T) {
 	defer c.Close()
 	c.SetInstrumentation(nil, obs.NewTracer(obs.NewRingExporter(8), nil), bound)
 	for i := 0; i < 3; i++ {
-		if _, err := c.CallContext(context.Background(), proto.MethodDataOp, []byte("x")); err != nil {
+		if _, err := callCtx(context.Background(), c, proto.MethodDataOp, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,17 +126,17 @@ func TestPerMethodMetrics(t *testing.T) {
 	c.SetInstrumentation(clientMetrics, nil, bound)
 
 	for i := 0; i < 5; i++ {
-		if _, err := c.CallContext(context.Background(), proto.MethodDataOp, []byte("abc")); err != nil {
+		if _, err := callCtx(context.Background(), c, proto.MethodDataOp, []byte("abc")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.CallContext(context.Background(), proto.MethodCreateBlock, nil); !errors.Is(err, core.ErrExists) {
+	if _, err := callCtx(context.Background(), c, proto.MethodCreateBlock, nil); !errors.Is(err, core.ErrExists) {
 		t.Fatalf("want ErrExists, got %v", err)
 	}
 
 	// Server-side stats are recorded after the response frame is
 	// written, so the last call can still be in flight on the server's
-	// bookkeeping when CallContext returns; wait for the quiesce.
+	// bookkeeping when CallRaw returns; wait for the quiesce.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if serverMetrics.Method(proto.MethodDataOp).Latency.Count() == 5 &&
@@ -206,7 +206,7 @@ func TestCallContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.CallContext(ctx, proto.MethodDataOp, nil)
+		_, err := callCtx(ctx, c, proto.MethodDataOp, nil)
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -223,7 +223,7 @@ func TestCallContextCancellation(t *testing.T) {
 	dctx, dcancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer dcancel()
 	start := time.Now()
-	_, err = c.CallContext(dctx, proto.MethodDataOp, nil)
+	_, err = callCtx(dctx, c, proto.MethodDataOp, nil)
 	if !errors.Is(err, core.ErrTimeout) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want ErrTimeout wrapping DeadlineExceeded, got %v", err)
 	}

@@ -103,7 +103,7 @@ func TestPoolSessionLifecycle(t *testing.T) {
 			if same := c1 == c2; same != tc.wantSame {
 				t.Errorf("same session = %v, want %v", same, tc.wantSame)
 			}
-			if resp, err := c2.Call(methodEcho, []byte("alive")); err != nil || string(resp) != "alive" {
+			if resp, err := call(c2, methodEcho, []byte("alive")); err != nil || string(resp) != "alive" {
 				t.Errorf("call on returned session = %q, %v", resp, err)
 			}
 		})
@@ -138,7 +138,7 @@ func TestPoolPipelinedCallsShareOneSession(t *testing.T) {
 					return
 				}
 				want := fmt.Sprintf("caller-%d-call-%d", g, i)
-				resp, err := c.Call(methodEcho, []byte(want))
+				resp, err := call(c, methodEcho, []byte(want))
 				if err != nil {
 					errs <- err
 					return

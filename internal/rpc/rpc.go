@@ -13,13 +13,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"jiffy/internal/clock"
 	"jiffy/internal/core"
 	"jiffy/internal/obs"
 	"jiffy/internal/proto"
@@ -59,38 +57,35 @@ type pendingShard struct {
 	_ [40]byte
 }
 
-// callResult is what the read pump (or failAll) hands a waiter. At most
-// one result is ever delivered per registration: the sender first
-// removes the waiter from the pending table, so the 1-buffered channel
-// never blocks and never carries a stale value across reuses.
+// callResult is what the read pump (or failAll, or the watchdog) hands
+// a waiter. At most one result is ever delivered per registration: the
+// sender first removes the waiter from the pending table, so the
+// 1-buffered channel never blocks and never carries a stale value
+// across reuses.
 type callResult struct {
 	payload []byte
 	code    core.ErrorCode
 	// pooled marks payload as wire.GetBuf memory now owned by the
-	// receiver (borrowed-call responses).
+	// receiver.
 	pooled bool
-	// err is the session failure injected by failAll; nil otherwise.
+	// err is the session failure injected by failAll, or the timeout
+	// delivered by the watchdog; nil otherwise.
 	err error
 }
 
 // waiter is the pooled per-call state: a reusable 1-buffered response
-// channel plus a reusable timeout timer. Waiters recycle through
+// channel plus the watchdog's view of the call. Waiters recycle through
 // waiterPool, so the steady-state cost of a call is zero allocations
-// for channel, timer, and pending-table plumbing.
+// for channel and pending-table plumbing.
 type waiter struct {
 	ch chan callResult
-	// borrow asks the read pump for a pooled payload copy instead of a
-	// heap-owned one; set before registration, read under the shard lock.
-	borrow bool
-	// method labels watchdog timeout errors; set before registration.
-	method uint16
-	// expiry, when non-zero, is the watchdog tick at which this call
-	// times out (coarse-deadline fast path). Written before registration,
-	// read by the watchdog under the shard lock.
-	expiry uint64
-	// timer is the lazily created, reused per-call timeout timer (real
-	// clock only; virtual clocks go through clock.After).
-	timer *time.Timer
+	// method and timeout label the watchdog's timeout error; expiry,
+	// when non-zero, is the watchdog tick at which the call times out.
+	// All three are written before registration and read by the
+	// watchdog under the shard lock.
+	method  uint16
+	timeout time.Duration
+	expiry  uint64
 }
 
 var waiterPool = sync.Pool{
@@ -116,17 +111,19 @@ type Client struct {
 	// caller that registers and then observes closed un-registers itself
 	// (or collects failAll's result), so no waiter is ever stranded.
 	closed atomic.Bool
-	// busyPoll makes callers spin briefly on response arrival before
-	// parking in select — see SetBusyPoll.
-	busyPoll atomic.Bool
 
-	// tick counts watchdog sweeps; waiters on the coarse-deadline fast
-	// path record the tick at which they expire instead of arming a
-	// per-call timer. watchdogOnce starts the sweeper lazily the first
-	// time a call qualifies, so clients that never take the fast path
-	// never run the goroutine.
+	// timeout bounds every call whose context carries no deadline; zero
+	// disables the bound.
+	timeout atomic.Int64
+
+	// The watchdog is the session's one timeout mechanism: tick counts
+	// its sweeps, and a timed call records the tick at which it expires
+	// instead of arming a timer. watchdogOnce starts the sweeper lazily
+	// the first time a call needs it and fixes its period, so sessions
+	// without a timeout never run the goroutine.
 	tick         atomic.Uint64
 	watchdogOnce sync.Once
+	sweep        time.Duration
 
 	// downOnce closes readerDone exactly once — with a sharded session
 	// several read pumps race to report the session's death.
@@ -136,12 +133,6 @@ type Client struct {
 	// sessionErr records why the session died; returned to callers whose
 	// pending requests were failed by failAll. Guarded by mu.
 	sessionErr error
-
-	// timeout bounds every Call without an explicit context deadline;
-	// zero disables the bound. clk drives the timeout timer (virtual in
-	// simulations). Guarded by mu.
-	timeout time.Duration
-	clk     clock.Clock
 
 	// onPush, if set, receives push frames (subscription notifications).
 	onPush func(subID uint64, payload []byte)
@@ -210,7 +201,6 @@ func NewClient(conn *wire.Conn) *Client {
 func NewClientConns(conns []*wire.Conn) *Client {
 	c := &Client{
 		conns:      conns,
-		clk:        clock.Real{},
 		readerDone: make(chan struct{}),
 	}
 	for i := range c.pending {
@@ -222,46 +212,12 @@ func NewClientConns(conns []*wire.Conn) *Client {
 	return c
 }
 
-// SetBusyPoll enables busy-poll mode: callers spin briefly (yielding
-// the processor between probes) on response arrival before parking in
-// a channel select. For latency-critical deployments this shaves the
-// park/unpark scheduling cost off single-op round trips at the price
-// of CPU burned while spinning; leave it off for throughput-oriented
-// or heavily oversubscribed workloads.
-func (c *Client) SetBusyPoll(on bool) {
-	c.busyPoll.Store(on)
-}
-
-// WithBusyPoll wraps a dial function so every client it produces has
-// busy-poll mode enabled.
-func WithBusyPoll(dial func(addr string) (*Client, error)) func(addr string) (*Client, error) {
-	if dial == nil {
-		dial = Dial
-	}
-	return func(addr string) (*Client, error) {
-		c, err := dial(addr)
-		if err != nil {
-			return nil, err
-		}
-		c.SetBusyPoll(true)
-		return c, nil
-	}
-}
-
 // SetTimeout installs the default per-call deadline; zero disables it.
-// Calls already in flight are unaffected.
+// Calls already in flight are unaffected. Set it before the first call:
+// the watchdog's sweep period is derived from the timeout in force when
+// the first timed call starts.
 func (c *Client) SetTimeout(d time.Duration) {
-	c.mu.Lock()
-	c.timeout = d
-	c.mu.Unlock()
-}
-
-// SetClock overrides the timeout timer source (tests and simulations
-// use a virtual clock).
-func (c *Client) SetClock(clk clock.Clock) {
-	c.mu.Lock()
-	c.clk = clk
-	c.mu.Unlock()
+	c.timeout.Store(int64(d))
 }
 
 // IsClosed reports whether the session has terminated (read pump gone).
@@ -369,16 +325,16 @@ func (c *Client) readLoop(cn *wire.Conn) {
 			if !ok {
 				break // abandoned by timeout/cancel; drop the late response
 			}
+			// Small replies are copied into pooled memory the caller
+			// returns; large ones were freshly allocated and transfer as is.
 			r := callResult{code: f.Code}
 			switch {
 			case len(f.Payload) == 0:
 			case !reused:
 				r.payload = f.Payload
-			case w.borrow:
+			default:
 				r.payload = append(wire.GetBuf(), f.Payload...)
 				r.pooled = true
-			default:
-				r.payload = append([]byte(nil), f.Payload...)
 			}
 			// Delivery cannot block: the channel holds one slot and the
 			// waiter was just removed from the table, making us the only
@@ -436,62 +392,37 @@ func (c *Client) closureErr() error {
 	return core.ErrClosed
 }
 
-// Call performs a synchronous RPC: sends payload for method and waits
-// for the matching response. The returned payload is the server's
-// response body; a non-OK wire code becomes the corresponding sentinel
+// CallRaw performs one synchronous RPC and is, with CallMsg, the
+// session's only call path. The request body is body followed by the
+// scatter-gather segments vec (see ds.AppendRequestVec); either may be
+// empty. Both are fully consumed before the call blocks on the reply,
+// so the caller may reuse their memory as soon as CallRaw returns.
+//
+// A small reply comes back in borrowed memory: when pooled is true, out
+// is a wire.GetBuf buffer the caller MUST return with wire.PutBuf once
+// done with it — on error paths too, since some errors (redirects)
+// carry meaningful payloads. Large replies come back heap-owned with
+// pooled false. A non-OK wire code becomes the corresponding sentinel
 // error from internal/core.
-func (c *Client) Call(method uint16, payload []byte) ([]byte, error) {
-	return c.CallContext(context.Background(), method, payload)
-}
-
-// CallContext is Call with cancellation. A canceled context abandons
-// the response (the pending entry is removed; a late response frame is
-// dropped by the read pump) and the call fails with the context's
-// error: context.Canceled, or ErrTimeout wrapping
-// context.DeadlineExceeded when the ctx deadline expires. A ctx
-// deadline takes precedence over the session's default timeout, which
-// only arms when ctx carries no deadline of its own — a peer that
-// stops reading still cannot hang the caller forever.
+//
+// A ctx deadline bounds the call on its own: expiry fails it with
+// ErrTimeout wrapping context.DeadlineExceeded. Otherwise the session
+// timeout (SetTimeout) applies, enforced by the watchdog, so a peer
+// that stops reading cannot hang the caller forever. Cancellation
+// abandons the reply (a late response frame is dropped by the read
+// pump) and fails the call with the context's error.
 //
 // When instrumentation is attached the call updates the per-method
 // stats (requests, bytes, in-flight, latency histogram) and, when a
-// tracer or an inbound span rides ctx, propagates the span to the
-// peer via a trace-extension frame written in the same flush as the
-// request.
-func (c *Client) CallContext(ctx context.Context, method uint16, payload []byte) ([]byte, error) {
-	out, _, err := c.callInstrumented(ctx, method, payload, nil, false)
-	return out, err
-}
-
-// CallBorrowedContext is CallContext for callers prepared to receive
-// the response in borrowed memory: when pooled is true the returned
-// payload is backed by a wire.GetBuf buffer that the caller MUST
-// return with wire.PutBuf once done with it — on error paths too,
-// since some errors (redirects) carry meaningful payloads. Small
-// responses travel alloc-free this way; large ones come back heap-owned
-// with pooled false.
-func (c *Client) CallBorrowedContext(ctx context.Context, method uint16, payload []byte) (out []byte, pooled bool, err error) {
-	return c.callInstrumented(ctx, method, payload, nil, true)
-}
-
-// CallVecContext is CallContext for requests whose body is assembled
-// from scatter-gather segments (see ds.AppendRequestVec): the segments
-// concatenate on the wire without an intermediate copy. They are fully
-// consumed before the call blocks on the response, so the caller may
-// reuse or release the underlying memory as soon as CallVecContext
-// returns.
-func (c *Client) CallVecContext(ctx context.Context, method uint16, vec [][]byte) ([]byte, error) {
-	out, _, err := c.callInstrumented(ctx, method, nil, vec, false)
-	return out, err
-}
-
-func (c *Client) callInstrumented(ctx context.Context, method uint16, payload []byte, vec [][]byte, borrow bool) ([]byte, bool, error) {
+// tracer or an inbound span rides ctx, propagates the span to the peer
+// via a trace-extension frame written in the same flush as the request.
+func (c *Client) CallRaw(ctx context.Context, method uint16, body []byte, vec [][]byte) (out []byte, pooled bool, err error) {
 	in := c.instr.Load()
 	if in == nil || !obs.On() {
 		// No telemetry attached (or globally disabled): skip straight to
 		// the wire. This keeps the uninstrumented path free of method
 		// label lookups, span plumbing, and stat loads.
-		return c.call(ctx, method, payload, vec, borrow)
+		return c.call(ctx, method, body, vec)
 	}
 	tracer := in.tracer
 	var stats *obs.MethodStats
@@ -499,7 +430,7 @@ func (c *Client) callInstrumented(ctx context.Context, method uint16, payload []
 	if in.metrics != nil {
 		stats = in.metrics.Method(method)
 		stats.Requests.Inc()
-		n := len(payload)
+		n := len(body)
 		for _, seg := range vec {
 			n += len(seg)
 		}
@@ -511,7 +442,7 @@ func (c *Client) callInstrumented(ctx context.Context, method uint16, payload []
 	if tracer != nil {
 		ctx, span = tracer.Begin(ctx, "rpc:"+methodLabel(method), in.peer)
 	}
-	out, pooled, err := c.call(ctx, method, payload, vec, borrow)
+	out, pooled, err = c.call(ctx, method, body, vec)
 	span.End(err)
 	if stats != nil {
 		stats.InFlight.Dec()
@@ -524,49 +455,39 @@ func (c *Client) callInstrumented(ctx context.Context, method uint16, payload []
 	return out, pooled, err
 }
 
-// busyPollSpins bounds the pre-park spin in busy-poll mode. Each probe
-// yields the processor, so on a loaded machine the spin degrades into a
-// handful of scheduler passes rather than burned exclusive CPU.
-const busyPollSpins = 128
-
-// call is the uninstrumented request/response core. vec, when non-nil,
-// carries scatter-gather body segments written after payload. borrow
-// opts into pooled response memory (see CallBorrowedContext).
-func (c *Client) call(ctx context.Context, method uint16, payload []byte, vec [][]byte, borrow bool) ([]byte, bool, error) {
+// call is the uninstrumented request/response core of CallRaw.
+func (c *Client) call(ctx context.Context, method uint16, body []byte, vec [][]byte) ([]byte, bool, error) {
 	if c.closed.Load() {
 		return nil, false, c.closureErr()
 	}
 
-	c.mu.Lock()
-	timeout := c.timeout
-	clk := c.clk
-	c.mu.Unlock()
-
 	w := waiterPool.Get().(*waiter)
-	w.borrow = borrow
-	w.method = method
-	// Coarse-deadline fast path: a deadline-less context with the real
-	// clock doesn't arm a per-call timer at all. The waiter records the
-	// watchdog tick at which it expires and the caller parks in a bare
-	// channel receive — no timer lock traffic, no multi-way select. The
-	// price is timeout granularity of one sweep interval, which is why
-	// short timeouts keep the precise timer.
-	if timeout >= watchdogMinTimeout && ctx.Done() == nil {
-		if _, real := clk.(clock.Real); real {
-			c.watchdogOnce.Do(c.startWatchdog)
-			w.expiry = c.tick.Load() + watchdogTicks(timeout)
+	// A call without a ctx deadline records the watchdog tick at which
+	// the session timeout expires; the watchdog delivers ErrTimeout into
+	// the waiter channel like any other result, so no timer is armed.
+	var ticks uint64
+	if timeout := time.Duration(c.timeout.Load()); timeout > 0 {
+		if _, ok := ctx.Deadline(); !ok {
+			c.watchdogOnce.Do(func() { c.startWatchdog(timeout) })
+			w.method, w.timeout = method, timeout
+			ticks = watchdogTicks(timeout, c.sweep)
 		}
 	}
 	seq := c.nextSeq.Add(1)
 	sh := c.shard(seq)
 	sh.mu.Lock()
+	if ticks != 0 {
+		// Read under the shard lock: every sweep that could expire the
+		// call starts after it registered, so none counts early.
+		w.expiry = c.tick.Load() + ticks
+	}
 	sh.m[seq] = w
 	sh.mu.Unlock()
 	// Re-check after registering: failAll flips closed before sweeping,
 	// so a session death racing this call either left our entry for the
 	// sweep (collect its result below) or we remove it ourselves here.
 	if c.closed.Load() {
-		return nil, false, c.abandon(seq, w, nil, c.closureErr())
+		return nil, false, c.abandon(seq, w, c.closureErr())
 	}
 
 	// Sharded sessions partition the sequence space across connections;
@@ -576,99 +497,57 @@ func (c *Client) call(ctx context.Context, method uint16, payload []byte, vec []
 		cn = c.conns[seq%uint64(len(c.conns))]
 	}
 
+	// The trace extension, when a span rides ctx, is an optional leading
+	// frame under the same seq and in the same flush. Old peers skip
+	// non-request frames, so this stays wire-compatible.
+	var ext []byte
+	if sc, ok := obs.SpanFromContext(ctx); ok && sc.Valid() {
+		ext = wire.EncodeTraceExt(sc.TraceID, sc.SpanID)
+	}
 	var err error
-	sc, traced := obs.SpanFromContext(ctx)
-	if traced && sc.Valid() {
-		// The trace extension travels immediately before its request,
-		// under the same seq and in the same flush. Old peers skip
-		// non-request frames, so this stays wire-compatible.
-		if vec == nil && len(payload) <= wire.InlineFrameThreshold {
-			buf := wire.GetBuf()
-			ext := wire.Frame{Kind: wire.KindTraceExt, Seq: seq,
-				Payload: wire.EncodeTraceExt(sc.TraceID, sc.SpanID)}
-			req := wire.Frame{Kind: wire.KindRequest, Seq: seq, Method: method, Payload: payload}
-			buf = wire.AppendFrame(buf, &ext)
-			buf = wire.AppendFrame(buf, &req)
-			err = cn.WriteBytes(buf)
-			wire.PutBuf(buf)
-		} else {
-			ext := &wire.Frame{Kind: wire.KindTraceExt, Seq: seq,
-				Payload: wire.EncodeTraceExt(sc.TraceID, sc.SpanID)}
-			req := &wire.Frame{Kind: wire.KindRequest, Seq: seq, Method: method,
-				Payload: payload, PayloadVec: vec}
-			err = cn.WriteFrames(ext, req)
-		}
-	} else if vec == nil && len(payload) <= wire.InlineFrameThreshold {
-		// Inline fast path: encode the whole frame into one pooled
-		// buffer and hand the connection a single contiguous write. The
-		// frame value stays on the stack; the group-commit flush treats
-		// the write like any other convoy member.
+	if vec == nil && len(body) <= wire.InlineFrameThreshold {
+		// Inline fast path: encode the frames into one pooled buffer and
+		// hand the connection a single contiguous write. The frame values
+		// stay on the stack; the group-commit flush treats the write like
+		// any other convoy member.
 		buf := wire.GetBuf()
-		req := wire.Frame{Kind: wire.KindRequest, Seq: seq, Method: method, Payload: payload}
+		if ext != nil {
+			buf = wire.AppendFrame(buf, &wire.Frame{Kind: wire.KindTraceExt, Seq: seq, Payload: ext})
+		}
+		req := wire.Frame{Kind: wire.KindRequest, Seq: seq, Method: method, Payload: body}
 		buf = wire.AppendFrame(buf, &req)
 		err = cn.WriteBytes(buf)
 		wire.PutBuf(buf)
 	} else {
-		req := &wire.Frame{Kind: wire.KindRequest, Seq: seq, Method: method,
-			Payload: payload, PayloadVec: vec}
-		err = cn.WriteFrame(req)
+		frames := make([]*wire.Frame, 0, 2)
+		if ext != nil {
+			frames = append(frames, &wire.Frame{Kind: wire.KindTraceExt, Seq: seq, Payload: ext})
+		}
+		frames = append(frames, &wire.Frame{Kind: wire.KindRequest, Seq: seq, Method: method,
+			Payload: body, PayloadVec: vec})
+		err = cn.WriteFrames(frames...)
 	}
 	if err != nil {
-		return nil, false, c.abandon(seq, w, nil, err)
-	}
-
-	// Timeout timer: with the real clock the waiter's own timer is
-	// reused across calls (time.After allocates a timer plus channel per
-	// call); virtual clocks go through clock.After as before. Calls on
-	// the coarse-deadline fast path already carry a watchdog expiry.
-	var timerC <-chan time.Time
-	var tm *time.Timer
-	if timeout > 0 && w.expiry == 0 {
-		if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-			if _, real := clk.(clock.Real); real {
-				if tm = w.timer; tm == nil {
-					tm = time.NewTimer(timeout)
-					w.timer = tm
-				} else {
-					tm.Reset(timeout)
-				}
-				timerC = tm.C
-			} else {
-				timerC = clk.After(timeout)
-			}
+		if !errors.Is(err, wire.ErrFrameTooLarge) {
+			// A transport write error sticks to the connection's buffered
+			// writer, so the session cannot carry another call: fail it as
+			// a unit, exactly as the read pump would on seeing the break.
+			c.failAll(err)
+			err = c.closureErr()
 		}
+		return nil, false, c.abandon(seq, w, err)
 	}
 
 	var r callResult
-	received := false
-	if c.busyPoll.Load() {
-		for i := 0; i < busyPollSpins; i++ {
-			select {
-			case r = <-w.ch:
-				received = true
-			default:
-				runtime.Gosched()
-			}
-			if received {
-				break
-			}
-		}
-	}
-	if !received && w.expiry != 0 {
+	if done := ctx.Done(); done == nil {
 		// Bare receive: delivery comes from the read pump, failAll, or
-		// the watchdog (as a callResult carrying ErrTimeout) — all of
-		// which claim the pending entry first, so exactly one arrives.
+		// the watchdog — all of which claim the pending entry first, so
+		// exactly one arrives.
 		r = <-w.ch
-		received = true
-	}
-	if !received {
+	} else {
 		select {
 		case r = <-w.ch:
-		case <-timerC:
-			tm = nil // fired and drained; nothing to stop
-			return nil, false, c.abandon(seq, w, tm,
-				fmt.Errorf("rpc: call %d timed out after %v: %w", method, timeout, core.ErrTimeout))
-		case <-ctx.Done():
+		case <-done:
 			cerr := ctx.Err()
 			if errors.Is(cerr, context.DeadlineExceeded) {
 				// Map context deadlines onto the typed timeout error so the
@@ -678,10 +557,9 @@ func (c *Client) call(ctx context.Context, method uint16, payload []byte, vec []
 			} else {
 				cerr = fmt.Errorf("rpc: call %s: %w", methodLabel(method), cerr)
 			}
-			return nil, false, c.abandon(seq, w, tm, cerr)
+			return nil, false, c.abandon(seq, w, cerr)
 		}
 	}
-	stopTimer(tm)
 	releaseWaiter(w)
 	if r.err != nil {
 		return nil, false, r.err
@@ -695,10 +573,10 @@ func (c *Client) call(ctx context.Context, method uint16, payload []byte, vec []
 }
 
 // abandon gives up on a registered call: it removes the pending entry,
-// or — when the read pump (or failAll) already claimed it — collects
-// the in-flight result so pooled memory is returned and the waiter's
-// channel is empty for reuse. It stops tm, recycles w, and returns err.
-func (c *Client) abandon(seq uint64, w *waiter, tm *time.Timer, err error) error {
+// or — when the read pump, failAll or the watchdog already claimed it —
+// collects the in-flight result so pooled memory is returned and the
+// waiter's channel is empty for reuse. It recycles w and returns err.
+func (c *Client) abandon(seq uint64, w *waiter, err error) error {
 	sh := c.shard(seq)
 	sh.mu.Lock()
 	_, mine := sh.m[seq]
@@ -716,53 +594,50 @@ func (c *Client) abandon(seq uint64, w *waiter, tm *time.Timer, err error) error
 			wire.PutBuf(r.payload)
 		}
 	}
-	stopTimer(tm)
 	releaseWaiter(w)
 	return err
 }
 
-// stopTimer quiesces a reused waiter timer: stopped with its channel
-// drained, ready for the next Reset.
-func stopTimer(tm *time.Timer) {
-	if tm != nil && !tm.Stop() {
-		select {
-		case <-tm.C:
-		default:
-		}
-	}
-}
-
 // releaseWaiter recycles per-call state. The caller guarantees the
-// channel is empty and any timer is stopped and drained.
+// channel is empty.
 func releaseWaiter(w *waiter) {
-	w.borrow = false
 	w.expiry = 0
 	waiterPool.Put(w)
 }
 
-// watchdogInterval is the sweep period of the coarse timeout watchdog;
-// watchdogMinTimeout is the smallest default timeout it serves. Calls
-// with shorter timeouts, virtual clocks, or cancellable contexts keep
-// the precise per-call timer, so the coarse path only ever stretches a
-// multi-second deadline by at most one sweep.
+// maxSweep caps the watchdog's sweep period; minSweep keeps a tiny
+// session timeout from turning the watchdog into a busy loop.
 const (
-	watchdogInterval   = 100 * time.Millisecond
-	watchdogMinTimeout = time.Second
+	maxSweep = 100 * time.Millisecond
+	minSweep = time.Millisecond
 )
+
+// sweepPeriod derives the watchdog period from the session timeout:
+// an eighth of it, clamped to [minSweep, maxSweep]. A call expires
+// between watchdogTicks-1 and watchdogTicks sweeps after it registers,
+// so it never times out early and, for timeouts of at least 8ms, at
+// most a quarter late.
+func sweepPeriod(timeout time.Duration) time.Duration {
+	return min(max(timeout/8, minSweep), maxSweep)
+}
 
 // watchdogTicks converts a timeout into a sweep count, rounding up and
 // adding one so a call never expires early when it registers just
 // before a sweep.
-func watchdogTicks(d time.Duration) uint64 {
-	return uint64((d+watchdogInterval-1)/watchdogInterval) + 1
+func watchdogTicks(timeout, sweep time.Duration) uint64 {
+	return uint64((timeout+sweep-1)/sweep) + 1
 }
 
-// startWatchdog launches the coarse timeout sweeper; it runs until the
-// session dies and claims expired waiters exactly like the read pump:
-// remove from the pending table first, then deliver.
-func (c *Client) startWatchdog() {
+// startWatchdog launches the timeout sweeper with its period fixed by
+// the session timeout in force at the first timed call; it runs until
+// the session dies and claims expired waiters exactly like the read
+// pump: remove from the pending table first, then deliver. The timer
+// is re-armed after each sweep, so consecutive sweeps are at least one
+// period apart even when the goroutine is scheduled late.
+func (c *Client) startWatchdog(timeout time.Duration) {
+	c.sweep = sweepPeriod(timeout)
 	go func() {
-		t := time.NewTicker(watchdogInterval)
+		t := time.NewTimer(c.sweep)
 		defer t.Stop()
 		for {
 			select {
@@ -777,12 +652,13 @@ func (c *Client) startWatchdog() {
 				for seq, w := range sh.m {
 					if w.expiry != 0 && now >= w.expiry {
 						delete(sh.m, seq)
-						w.ch <- callResult{err: fmt.Errorf(
-							"rpc: call %s timed out: %w", methodLabel(w.method), core.ErrTimeout)}
+						w.ch <- callResult{err: fmt.Errorf("rpc: call %s timed out after %v: %w",
+							methodLabel(w.method), w.timeout, core.ErrTimeout)}
 					}
 				}
 				sh.mu.Unlock()
 			}
+			t.Reset(c.sweep)
 		}
 	}()
 }

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"jiffy/internal/core"
+	"jiffy/internal/wire"
 )
 
 const (
@@ -21,7 +24,7 @@ const (
 	methodPanic
 )
 
-func newTestServer(t *testing.T) (addr string, srv *Server) {
+func newTestServer(t testing.TB) (addr string, srv *Server) {
 	t.Helper()
 	var subConns sync.Map
 	handler := func(_ context.Context, conn *ServerConn, method uint16, payload []byte) ([]byte, error) {
@@ -56,6 +59,23 @@ func newTestServer(t *testing.T) (addr string, srv *Server) {
 	return addr, srv
 }
 
+// call is CallRaw with a contiguous body and a background context,
+// with the reply copied out of pooled memory.
+func call(c *Client, method uint16, body []byte) ([]byte, error) {
+	return callCtx(context.Background(), c, method, body)
+}
+
+// callCtx is call under ctx.
+func callCtx(ctx context.Context, c *Client, method uint16, body []byte) ([]byte, error) {
+	out, pooled, err := c.CallRaw(ctx, method, body, nil)
+	if pooled {
+		owned := append([]byte(nil), out...)
+		wire.PutBuf(out)
+		out = owned
+	}
+	return out, err
+}
+
 func TestCallEcho(t *testing.T) {
 	addr, _ := newTestServer(t)
 	c, err := Dial(addr)
@@ -63,7 +83,7 @@ func TestCallEcho(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	resp, err := c.Call(methodEcho, []byte("ping"))
+	resp, err := call(c, methodEcho, []byte("ping"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +116,7 @@ func TestCallSentinelError(t *testing.T) {
 	addr, _ := newTestServer(t)
 	c, _ := Dial(addr)
 	defer c.Close()
-	_, err := c.Call(methodNotFound, []byte("k"))
+	_, err := call(c, methodNotFound, []byte("k"))
 	if !errors.Is(err, core.ErrNotFound) {
 		t.Errorf("err = %v, want ErrNotFound", err)
 	}
@@ -106,7 +126,7 @@ func TestCallOtherErrorMessage(t *testing.T) {
 	addr, _ := newTestServer(t)
 	c, _ := Dial(addr)
 	defer c.Close()
-	_, err := c.Call(methodFail, nil)
+	_, err := call(c, methodFail, nil)
 	if err == nil || err.Error() != "custom failure" {
 		t.Errorf("err = %v", err)
 	}
@@ -116,7 +136,7 @@ func TestCallUnknownMethod(t *testing.T) {
 	addr, _ := newTestServer(t)
 	c, _ := Dial(addr)
 	defer c.Close()
-	if _, err := c.Call(999, nil); err == nil {
+	if _, err := call(c, 999, nil); err == nil {
 		t.Error("unknown method should fail")
 	}
 }
@@ -132,7 +152,7 @@ func TestConcurrentCalls(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			want := fmt.Sprintf("msg-%d", i)
-			resp, err := c.Call(methodEcho, []byte(want))
+			resp, err := call(c, methodEcho, []byte(want))
 			if err != nil {
 				errs <- err
 				return
@@ -155,12 +175,12 @@ func TestSlowCallDoesNotBlockFastCall(t *testing.T) {
 	defer c.Close()
 	slowDone := make(chan struct{})
 	go func() {
-		c.Call(methodSlow, nil)
+		call(c, methodSlow, nil)
 		close(slowDone)
 	}()
 	time.Sleep(5 * time.Millisecond) // let the slow call start
 	start := time.Now()
-	if _, err := c.Call(methodEcho, []byte("fast")); err != nil {
+	if _, err := call(c, methodEcho, []byte("fast")); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d > 40*time.Millisecond {
@@ -178,7 +198,7 @@ func TestCallContextCancel(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		cancel()
 	}()
-	_, err := c.CallContext(ctx, methodSlow, nil)
+	_, err := callCtx(ctx, c, methodSlow, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
@@ -194,7 +214,7 @@ func TestPush(t *testing.T) {
 			got <- string(payload)
 		}
 	})
-	if _, err := c.Call(methodSubscribe, nil); err != nil {
+	if _, err := call(c, methodSubscribe, nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -211,11 +231,11 @@ func TestHandlerPanicIsolated(t *testing.T) {
 	addr, _ := newTestServer(t)
 	c, _ := Dial(addr)
 	defer c.Close()
-	if _, err := c.Call(methodPanic, nil); err == nil {
+	if _, err := call(c, methodPanic, nil); err == nil {
 		t.Error("panicking handler should return an error")
 	}
 	// The connection is still usable after a handler panic.
-	resp, err := c.Call(methodEcho, []byte("still alive"))
+	resp, err := call(c, methodEcho, []byte("still alive"))
 	if err != nil || string(resp) != "still alive" {
 		t.Errorf("post-panic call = %q, %v", resp, err)
 	}
@@ -226,7 +246,7 @@ func TestClientCloseFailsPending(t *testing.T) {
 	c, _ := Dial(addr)
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Call(methodSlow, nil)
+		_, err := call(c, methodSlow, nil)
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -234,7 +254,7 @@ func TestClientCloseFailsPending(t *testing.T) {
 	if err := <-done; err == nil {
 		t.Error("pending call should fail on close")
 	}
-	if _, err := c.Call(methodEcho, nil); !errors.Is(err, core.ErrClosed) {
+	if _, err := call(c, methodEcho, nil); !errors.Is(err, core.ErrClosed) {
 		t.Errorf("call after close = %v, want ErrClosed", err)
 	}
 }
@@ -243,11 +263,11 @@ func TestServerCloseDisconnectsClients(t *testing.T) {
 	addr, srv := newTestServer(t)
 	c, _ := Dial(addr)
 	defer c.Close()
-	if _, err := c.Call(methodEcho, []byte("x")); err != nil {
+	if _, err := call(c, methodEcho, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
-	if _, err := c.Call(methodEcho, []byte("x")); err == nil {
+	if _, err := call(c, methodEcho, []byte("x")); err == nil {
 		t.Error("call after server close should fail")
 	}
 }
@@ -257,7 +277,7 @@ func TestOnDisconnectFires(t *testing.T) {
 	var fired atomic.Int32
 	srv.OnDisconnect = func(*ServerConn) { fired.Add(1) }
 	c, _ := Dial(addr)
-	if _, err := c.Call(methodEcho, nil); err != nil {
+	if _, err := call(c, methodEcho, nil); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -302,7 +322,7 @@ func TestPoolDropForcesRedial(t *testing.T) {
 	c1, _ := pool.Get(addr)
 	pool.Drop(addr)
 	// The dropped client is closed.
-	if _, err := c1.Call(methodEcho, nil); err == nil {
+	if _, err := call(c1, methodEcho, nil); err == nil {
 		t.Error("dropped connection still usable")
 	}
 	c2, err := pool.Get(addr)
@@ -312,7 +332,7 @@ func TestPoolDropForcesRedial(t *testing.T) {
 	if dials != 2 {
 		t.Errorf("dials = %d, want 2", dials)
 	}
-	if _, err := c2.Call(methodEcho, []byte("x")); err != nil {
+	if _, err := call(c2, methodEcho, []byte("x")); err != nil {
 		t.Errorf("redialed conn broken: %v", err)
 	}
 }
@@ -345,7 +365,7 @@ func TestShardedSessionConcurrentCalls(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				want := fmt.Sprintf("g%d-i%d", g, i)
-				resp, err := c.Call(methodEcho, []byte(want))
+				resp, err := call(c, methodEcho, []byte(want))
 				if err != nil {
 					errs <- err
 					return
@@ -375,7 +395,7 @@ func TestShardedSessionFailsAsUnit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Call(methodEcho, []byte("up")); err != nil {
+	if _, err := call(c, methodEcho, []byte("up")); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
@@ -388,7 +408,7 @@ func TestShardedSessionFailsAsUnit(t *testing.T) {
 		t.Error("IsClosed() = false after server close")
 	}
 	for i := 0; i < 6; i++ { // covers every shard twice
-		if _, err := c.Call(methodEcho, []byte("down")); err == nil {
+		if _, err := call(c, methodEcho, []byte("down")); err == nil {
 			t.Fatal("call succeeded on dead sharded session")
 		}
 	}
@@ -411,7 +431,7 @@ func TestShardedSessionPush(t *testing.T) {
 	})
 	// Issue subscribes from both shards of the sequence space.
 	for i := 0; i < 2; i++ {
-		if _, err := c.Call(methodSubscribe, nil); err != nil {
+		if _, err := call(c, methodSubscribe, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -425,22 +445,54 @@ func TestShardedSessionPush(t *testing.T) {
 	}
 }
 
-// TestBusyPollEcho smoke-tests the busy-poll wait path end to end.
-func TestBusyPollEcho(t *testing.T) {
-	addr, _ := newTestServer(t)
-	dial := WithBusyPoll(nil)
-	c, err := dial(addr)
+// brokenWriteConn is a connection whose writes fail while its reads
+// block: the window in which a peer has gone but the read pump has not
+// yet seen the break.
+type brokenWriteConn struct{ net.Conn }
+
+func (brokenWriteConn) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
+
+// TestWriteFailureFailsSession checks a transport write error fails
+// the whole session with ErrClosed, so callers classify it as a dead
+// connection (evict, re-dial, re-home) rather than an operation error.
+func TestWriteFailureFailsSession(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	c := NewClient(wire.NewConn(brokenWriteConn{a}))
+	defer c.Close()
+	if _, err := call(c, methodEcho, []byte("x")); !errors.Is(err, core.ErrClosed) {
+		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+	if !c.IsClosed() {
+		t.Error("session still open after a write failure")
+	}
+}
+
+// BenchmarkCallRawEcho times one small CallRaw round trip over mem://
+// with a session timeout and a background context: the watchdog path
+// every benchmarked data-plane call takes. Run with -cpu 1,2 to see the
+// contended case.
+func BenchmarkCallRawEcho(b *testing.B) {
+	addr, _ := newTestServer(b)
+	c, err := Dial(addr)
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
 	defer c.Close()
-	for i := 0; i < 100; i++ {
-		resp, err := c.Call(methodEcho, []byte("spin"))
-		if err != nil {
-			t.Fatal(err)
+	c.SetTimeout(30 * time.Second)
+	body := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			out, pooled, err := c.CallRaw(context.Background(), methodEcho, body, nil)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			if pooled {
+				wire.PutBuf(out)
+			}
 		}
-		if string(resp) != "spin" {
-			t.Fatalf("resp = %q", resp)
-		}
-	}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,11 +15,11 @@ import (
 	"jiffy/internal/wire"
 )
 
-// The coarse-deadline watchdog (one sweep per 100ms) and hedge-read
-// cancellation both claim pending calls out from under the caller: the
-// watchdog delivers ErrTimeout into the waiter channel after removing
-// the entry, and a canceled hedge arm abandons its waiter, collecting
-// any in-flight result so the pooled buffer is returned. Both paths
+// The timeout watchdog and hedge-read cancellation both claim pending
+// calls out from under the caller: the watchdog delivers ErrTimeout
+// into the waiter channel after removing the entry, and a canceled
+// hedge arm abandons its waiter, collecting any in-flight result so the
+// pooled buffer is returned. Both paths
 // recycle the same sync.Pool waiters over the same session, so a
 // double-release in either would hand one waiter to two concurrent
 // calls — visible as cross-wired responses, stuck receives, or a
@@ -31,11 +32,15 @@ const (
 	churnStall uint16 = 2
 )
 
-// churnStallSleep is how long the stalled handler holds a call: past
-// the watchdog expiry for a 1s-timeout call (~1.1s), so the watchdog
-// always claims the waiter first and the real response later arrives
-// for an unknown seq and must be dropped and freed by the read pump.
-const churnStallSleep = 1500 * time.Millisecond
+// churnTimeout is the session timeout under churn; churnStallSleep is
+// how long the stalled handler holds a call: past the watchdog expiry
+// for a churnTimeout call (at most 1.2s), so the watchdog always claims
+// the waiter first and the real response later arrives for an unknown
+// seq and must be dropped and freed by the read pump.
+const (
+	churnTimeout    = time.Second
+	churnStallSleep = 1500 * time.Millisecond
+)
 
 func TestWatchdogHedgeCancellationChurn(t *testing.T) {
 	if testing.Short() {
@@ -62,9 +67,9 @@ func TestWatchdogHedgeCancellationChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// At the watchdog threshold: deadline-less calls ride the coarse
-	// sweep; cancellable calls keep the precise select path.
-	c.SetTimeout(watchdogMinTimeout)
+	// Every call below records a watchdog expiry: the stalled ones wait
+	// in a bare receive, the cancellable ones in a two-way select.
+	c.SetTimeout(churnTimeout)
 
 	// Arm 1: deadline-less stalled calls whose timeouts only the
 	// watchdog can deliver.
@@ -75,7 +80,7 @@ func TestWatchdogHedgeCancellationChurn(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := c.Call(churnStall, nil)
+			_, err := call(c, churnStall, nil)
 			if errors.Is(err, core.ErrTimeout) {
 				watchdogTimeouts.Add(1)
 			} else {
@@ -86,7 +91,8 @@ func TestWatchdogHedgeCancellationChurn(t *testing.T) {
 
 	// Arm 2: hedge-style churn on the same session — borrowed-buffer
 	// reads whose contexts are canceled at random points around the
-	// response's arrival, racing abandon() against the read pump. The
+	// response's arrival, racing abandon() against the read pump (and
+	// the watchdog, which tracks these calls too). The
 	// seed is fixed: a failure reproduces.
 	rng := rand.New(rand.NewSource(1304))
 	const churn = 600
@@ -100,7 +106,7 @@ func TestWatchdogHedgeCancellationChurn(t *testing.T) {
 				cancel()
 			}()
 		}
-		out, pooled, err := c.CallBorrowedContext(ctx, churnEcho, []byte(want))
+		out, pooled, err := c.CallRaw(ctx, churnEcho, []byte(want), nil)
 		switch {
 		case err == nil:
 			if string(out) != want {
@@ -125,7 +131,7 @@ func TestWatchdogHedgeCancellationChurn(t *testing.T) {
 	}
 	// ...and the late real responses then arrive for unknown seqs; give
 	// them time to hit the read pump's drop path before probing health.
-	time.Sleep(churnStallSleep - watchdogMinTimeout + 200*time.Millisecond)
+	time.Sleep(churnStallSleep - churnTimeout + 200*time.Millisecond)
 
 	// The session survives: a concurrent batch still pairs every
 	// response with its own request (a leaked or double-released waiter
@@ -136,7 +142,7 @@ func TestWatchdogHedgeCancellationChurn(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			want := fmt.Sprintf("after-%d", i)
-			out, err := c.Call(churnEcho, []byte(want))
+			out, err := call(c, churnEcho, []byte(want))
 			if err != nil {
 				errs <- err
 			} else if string(out) != want {
@@ -148,5 +154,80 @@ func TestWatchdogHedgeCancellationChurn(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestSessionTimeout pins the one timeout mechanism: with a 300ms
+// session timeout, calls on contexts without a deadline — plain or
+// cancellable — fail with ErrTimeout from the watchdog, never early
+// and at most a quarter late (one sweep is 300ms/8), naming the method
+// and the configured duration. A shorter ctx deadline wins and fails
+// with ErrTimeout wrapping context.DeadlineExceeded.
+func TestSessionTimeout(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	release := make(chan struct{})
+	srv := NewServer(BytesHandler(func(_ context.Context, _ *ServerConn, _ uint16, _ []byte) ([]byte, error) {
+		<-release
+		return nil, nil
+	}), nil)
+	addr, err := srv.Listen(fmt.Sprintf("mem://rpc-timeout-%p", srv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// Unblock handlers before srv.Close (defers run LIFO).
+	defer close(release)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetTimeout(timeout)
+
+	cases := []struct {
+		name     string
+		ctx      func() (context.Context, context.CancelFunc)
+		min, max time.Duration
+		deadline bool
+	}{
+		{"background", func() (context.Context, context.CancelFunc) {
+			return context.Background(), func() {}
+		}, timeout, timeout + timeout/4, false},
+		{"cancellable", func() (context.Context, context.CancelFunc) {
+			return context.WithCancel(context.Background())
+		}, timeout, timeout + timeout/4, false},
+		{"shorter-deadline", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 50*time.Millisecond)
+		}, 50 * time.Millisecond, timeout, true},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if i > 0 {
+				// The previous case's timeout was delivered just after a
+				// sweep: register this call just before the next one,
+				// where an expiry one sweep short would fire early.
+				time.Sleep(sweepPeriod(timeout) - 5*time.Millisecond)
+			}
+			ctx, cancel := tc.ctx()
+			defer cancel()
+			start := time.Now()
+			_, err := callCtx(ctx, c, methodEcho, nil)
+			elapsed := time.Since(start)
+			if !errors.Is(err, core.ErrTimeout) {
+				t.Fatalf("err = %v, want ErrTimeout", err)
+			}
+			if got := errors.Is(err, context.DeadlineExceeded); got != tc.deadline {
+				t.Errorf("errors.Is(err, DeadlineExceeded) = %v, want %v (err %v)", got, tc.deadline, err)
+			}
+			if !tc.deadline {
+				want := fmt.Sprintf("rpc: call %s timed out after %v", methodLabel(methodEcho), timeout)
+				if !strings.HasPrefix(err.Error(), want) {
+					t.Errorf("err = %q, want prefix %q", err, want)
+				}
+			}
+			if elapsed < tc.min || elapsed > tc.max {
+				t.Errorf("timed out after %v, want within [%v, %v]", elapsed, tc.min, tc.max)
+			}
+		})
 	}
 }

@@ -55,7 +55,7 @@ func createBlock(t *testing.T, c *rpc.Client, id core.BlockID, typ core.DSType,
 }
 
 func dataOp(c *rpc.Client, id core.BlockID, op core.OpType, args ...[]byte) ([][]byte, error) {
-	payload, err := c.Call(proto.MethodDataOp, ds.EncodeRequest(op, id, args))
+	payload, _, err := c.CallRaw(context.Background(), proto.MethodDataOp, ds.EncodeRequest(op, id, args), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +94,7 @@ func TestQueueRedirectOverRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The sealed segment redirects enqueues, carrying the successor.
-	payload, err := c.Call(proto.MethodDataOp, ds.EncodeRequest(core.OpEnqueue, 1, [][]byte{[]byte("x")}))
+	payload, _, err := c.CallRaw(context.Background(), proto.MethodDataOp, ds.EncodeRequest(core.OpEnqueue, 1, [][]byte{[]byte("x")}), nil)
 	if !errors.Is(err, core.ErrRedirect) {
 		t.Fatalf("err = %v", err)
 	}
@@ -313,7 +313,7 @@ func TestCreateBlockValidation(t *testing.T) {
 
 func TestUnknownMethod(t *testing.T) {
 	_, c, _ := newServer(t)
-	if _, err := c.Call(0x7777, nil); err == nil {
+	if _, _, err := c.CallRaw(context.Background(), 0x7777, nil, nil); err == nil {
 		t.Error("unknown method accepted")
 	}
 }

@@ -25,6 +25,7 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -60,6 +61,11 @@ const headerLen = 1 + 8 + 2 + 1
 // MaxFrameSize bounds a single frame (header + payload). Large objects
 // (up to the 128MB block size) must fit; we allow 256MB.
 const MaxFrameSize = 256 * core.MB
+
+// ErrFrameTooLarge rejects an outbound frame above MaxFrameSize. It is
+// raised before any byte is staged, so unlike a transport error it
+// leaves the connection usable.
+var ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrameSize")
 
 // InlineFrameThreshold is the payload size at or below which the
 // small-frame fast path applies: senders encode header+payload into one
@@ -231,7 +237,7 @@ func (c *Conn) writeFrameLocked(f *Frame) error {
 	}
 	n := headerLen + len(f.Payload) + vecLen
 	if n > MaxFrameSize {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxFrameSize)
+		return fmt.Errorf("wire: frame of %d bytes: %w", n, ErrFrameTooLarge)
 	}
 	binary.BigEndian.PutUint32(c.hdr[0:4], uint32(n))
 	c.hdr[4] = byte(f.Kind)

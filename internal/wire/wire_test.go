@@ -257,8 +257,8 @@ func TestOversizedFrameRejected(t *testing.T) {
 	defer a.Close()
 	c := NewConn(a)
 	f := &Frame{Kind: KindRequest, Payload: make([]byte, MaxFrameSize)}
-	if err := c.WriteFrame(f); err == nil {
-		t.Error("oversized frame should be rejected")
+	if err := c.WriteFrame(f); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("oversized frame: err = %v, want ErrFrameTooLarge", err)
 	}
 }
 

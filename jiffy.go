@@ -154,9 +154,6 @@ var (
 	// with the sequence space partitioned across them, for heavy
 	// concurrent single-op load against one server.
 	WithSessionShards = client.WithSessionShards
-	// WithBusyPoll makes callers spin briefly before parking while
-	// awaiting responses, trading CPU for small-op latency.
-	WithBusyPoll = client.WithBusyPoll
 )
 
 // DefaultRetryPolicy returns the default retry budget.
@@ -173,35 +170,6 @@ func NewRingExporter(n int) *obs.RingExporter { return obs.NewRingExporter(n) }
 // outlives it.
 func Dial(ctx context.Context, opts ...Option) (*Client, error) {
 	return client.Dial(ctx, opts...)
-}
-
-// Connect dials a single running Jiffy controller.
-//
-// Deprecated: use Dial with WithControllers — a single-member group
-// behaves identically, and listing every member enables failover.
-func Connect(ctx context.Context, controllerAddr string, opts ...Option) (*Client, error) {
-	return client.Connect(ctx, controllerAddr, opts...)
-}
-
-// ConnectMulti dials a controller group given its endpoint list.
-//
-// Deprecated: use Dial with WithControllers.
-func ConnectMulti(ctx context.Context, controllerAddrs []string, opts ...Option) (*Client, error) {
-	return client.ConnectMulti(ctx, controllerAddrs, opts...)
-}
-
-// ConnectNoCtx dials a controller without a context.
-//
-// Deprecated: use Dial with a context and WithControllers.
-func ConnectNoCtx(controllerAddr string, opts ...Option) (*Client, error) {
-	return client.Connect(context.Background(), controllerAddr, opts...)
-}
-
-// ConnectMultiNoCtx dials a controller group without a context.
-//
-// Deprecated: use Dial with a context and WithControllers.
-func ConnectMultiNoCtx(controllerAddrs []string, opts ...Option) (*Client, error) {
-	return client.ConnectMulti(context.Background(), controllerAddrs, opts...)
 }
 
 // MustPath builds a Path from components, panicking on invalid input;
