@@ -118,7 +118,7 @@ func (k *KV) execBatch(ctx context.Context, op core.OpType, keys []string, args 
 	}
 	var avoid map[string]bool
 
-	for attempt := 0; attempt < k.h.retryLimit() && len(pending) > 0; attempt++ {
+	for attempt := 0; attempt < k.h.c.policy.Limit && len(pending) > 0; attempt++ {
 		// Group the pending ops by destination server under the current
 		// map. Ops whose slot has no owner yet force a refresh.
 		type group struct {
@@ -129,16 +129,16 @@ func (k *KV) execBatch(ctx context.Context, op core.OpType, keys []string, args 
 		var next []int
 		needRefresh := false
 		for _, i := range pending {
-			info, ok, rerr := k.route(keys[i], op, avoid)
+			info, rerr := k.route(keys[i], op, avoid)
+			if errors.Is(rerr, core.ErrStaleEpoch) {
+				errs[i] = rerr
+				next = append(next, i)
+				needRefresh = true
+				continue
+			}
 			if rerr != nil {
 				// Lost block: fail this op permanently, no retry.
 				errs[i] = rerr
-				continue
-			}
-			if !ok {
-				errs[i] = core.ErrStaleEpoch
-				next = append(next, i)
-				needRefresh = true
 				continue
 			}
 			g := groups[info.Server]
@@ -195,8 +195,7 @@ func (k *KV) execBatch(ctx context.Context, op core.OpType, keys []string, args 
 					needRefresh = true
 				case errors.Is(oerr, core.ErrBlockFull):
 					errs[i] = oerr
-					if serr := k.h.requestScale(ctx, g.ops[j].Block); serr != nil &&
-						!errors.Is(serr, core.ErrNoCapacity) {
+					if serr := k.h.grow(ctx, g.ops[j].Block); serr != nil {
 						errs[i] = serr
 						continue
 					}
@@ -259,7 +258,7 @@ func (f *File) AppendBatch(ctx context.Context, records [][]byte) ([]int, error)
 		pending[i] = i
 	}
 
-	for attempt := 0; attempt < f.h.retryLimit() && len(pending) > 0; attempt++ {
+	for attempt := 0; attempt < f.h.c.policy.Limit && len(pending) > 0; attempt++ {
 		m := f.h.snapshot()
 		tail, ok := m.Tail()
 		if !ok {
@@ -325,8 +324,7 @@ func (f *File) AppendBatch(ctx context.Context, records [][]byte) ([]int, error)
 			}
 		}
 		if needScale {
-			if serr := f.h.requestScale(ctx, tail.Info.ID); serr != nil &&
-				!errors.Is(serr, core.ErrNoCapacity) {
+			if serr := f.h.grow(ctx, tail.Info.ID); serr != nil {
 				for _, i := range next {
 					errs[i] = serr
 				}
@@ -375,7 +373,7 @@ func (q *Queue) EnqueueBatch(ctx context.Context, items [][]byte) error {
 		pending[i] = i
 	}
 
-	for attempt := 0; attempt < q.h.retryLimit() && len(pending) > 0; attempt++ {
+	for attempt := 0; attempt < q.h.c.policy.Limit && len(pending) > 0; attempt++ {
 		_, tail, err := q.ends()
 		if err != nil {
 			for _, i := range pending {
@@ -440,29 +438,11 @@ func (q *Queue) EnqueueBatch(ctx context.Context, items [][]byte) error {
 			}
 		}
 		if needScale {
-			if serr := q.h.requestScale(ctx, tail.ID); serr != nil &&
-				!errors.Is(serr, core.ErrNoCapacity) {
+			if gerr := q.growTail(ctx, tail.ID); gerr != nil {
 				for _, i := range next {
-					errs[i] = serr
+					errs[i] = gerr
 				}
 				return multiErr(errs)
-			}
-			if rerr := q.reseed(ctx); rerr != nil {
-				for _, i := range next {
-					errs[i] = rerr
-				}
-				return multiErr(errs)
-			}
-			// Bounded queue at its limit: report backpressure instead of
-			// spinning (same rule as Enqueue).
-			if m := q.h.snapshot(); m.AtMaxBlocks() {
-				if t, ok := m.Tail(); ok && t.Info.ID == tail.ID {
-					full := fmt.Errorf("client: bounded queue full: %w", core.ErrBlockFull)
-					for _, i := range next {
-						errs[i] = full
-					}
-					return multiErr(errs)
-				}
 			}
 		} else if needReseed {
 			if obs.On() {

@@ -37,7 +37,8 @@ import (
 	"jiffy/internal/rpc"
 )
 
-// RetryPolicy bounds the data-plane recovery loops.
+// RetryPolicy bounds the data-plane recovery loop (handle.retry, which
+// every single-op data call runs through) and the batched calls.
 type RetryPolicy struct {
 	// Limit bounds retries after map refreshes (default 32); controller
 	// re-homing after a leadership change spends the same budget.

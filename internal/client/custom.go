@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"jiffy/internal/core"
@@ -38,51 +37,26 @@ func (cu *Custom) Blocks(ctx context.Context) (int, error) {
 	return len(cu.h.snapshot().Blocks), nil
 }
 
-// Exec runs one operation against chunk index ci, retrying through
-// map refreshes. Reads route to the chunk's chain tail, mutations to
+// Exec runs one operation against chunk index ci through the handle's
+// recovery loop. Reads route to the chunk's chain tail, mutations to
 // its head.
 func (cu *Custom) Exec(ctx context.Context, ci int, op core.OpType, args ...[]byte) ([][]byte, error) {
-	var lastErr error
-	for attempt := 0; attempt < cu.h.retryLimit(); attempt++ {
+	return cu.h.retry(ctx, op, "", func(map[string]bool) (core.BlockInfo, [][]byte, error) {
 		m := cu.h.snapshot()
 		e, ok := m.BlockForChunk(ci)
 		if !ok {
-			return nil, fmt.Errorf("client: custom chunk %d: %w", ci, core.ErrNotFound)
+			return core.BlockInfo{}, nil, fmt.Errorf("client: custom chunk %d: %w", ci, core.ErrNotFound)
 		}
 		if e.Lost {
-			return nil, lostErr(e)
+			return core.BlockInfo{}, nil, lostErr(e)
 		}
-		target := e.ReadTarget()
+		at := e.ReadTarget()
 		if op.IsMutation() {
-			target = e.WriteTarget()
+			at = e.WriteTarget()
 		}
-		res, err := cu.h.do(ctx, target, op, args)
-		switch {
-		case err == nil:
-			return res, nil
-		case ctxErr(err) != nil:
-			return nil, err
-		case errors.Is(err, core.ErrStaleEpoch):
-			lastErr = err
-			if rerr := cu.h.refresh(ctx); rerr != nil {
-				return nil, rerr
-			}
-			if berr := cu.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		case isConnErr(err):
-			lastErr = err
-			if rerr := cu.h.refresh(ctx); rerr != nil && !isConnErr(rerr) {
-				return nil, rerr
-			}
-			if berr := cu.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		default:
-			return nil, err
-		}
-	}
-	return nil, errRetriesExhausted("custom exec", lastErr)
+		res, err := cu.h.do(ctx, at, op, args)
+		return at, res, err
+	}, cu.h.refresh, nil)
 }
 
 // Grow asks the controller to append one more block to the structure

@@ -32,42 +32,28 @@ func (f *File) chunkSize() int {
 	return f.h.snapshot().ChunkSize
 }
 
-// blockFor resolves the block holding chunk index ci, growing the file
-// if the chunk does not exist yet (for writes). Writes target the
-// chain head, reads the tail.
-func (f *File) blockFor(ctx context.Context, ci int, grow bool) (core.BlockInfo, error) {
-	for attempt := 0; attempt < f.h.retryLimit(); attempt++ {
-		m := f.h.snapshot()
-		if e, ok := m.BlockForChunk(ci); ok {
-			if e.Lost {
-				return core.BlockInfo{}, lostErr(e)
-			}
-			if grow {
-				return e.WriteTarget(), nil
-			}
-			return e.ReadTarget(), nil
-		}
-		if !grow {
-			return core.BlockInfo{}, fmt.Errorf("client: file chunk %d: %w", ci, core.ErrNotFound)
-		}
-		// Ask the controller to extend the file by one chunk (the
-		// proactive server-side signal usually beats us here).
-		last, ok := m.Tail()
-		if !ok {
-			if err := f.h.refresh(ctx); err != nil {
-				return core.BlockInfo{}, err
-			}
-			continue
-		}
-		if err := f.h.requestScale(ctx, last.Info.ID); err != nil &&
-			!errors.Is(err, core.ErrNoCapacity) {
-			return core.BlockInfo{}, err
-		}
-		if err := f.h.backoff(ctx, attempt); err != nil {
-			return core.BlockInfo{}, err
-		}
+// blockFor routes chunk index ci under the cached map: writes to the
+// chain head, reads to the tail. A write past the last chunk reports
+// ErrBlockFull against the tail block, so the recovery loop's scale
+// arm grows the file by one chunk and retries.
+func (f *File) blockFor(ci int, write bool) (core.BlockInfo, error) {
+	m := f.h.snapshot()
+	e, ok := m.BlockForChunk(ci)
+	switch {
+	case ok && e.Lost:
+		return core.BlockInfo{}, lostErr(e)
+	case ok && write:
+		return e.WriteTarget(), nil
+	case ok:
+		return e.ReadTarget(), nil
+	case !write:
+		return core.BlockInfo{}, fmt.Errorf("client: file chunk %d: %w", ci, core.ErrNotFound)
 	}
-	return core.BlockInfo{}, errRetriesExhausted(fmt.Sprintf("file grow to chunk %d", ci), core.ErrBlockFull)
+	last, ok := m.Tail()
+	if !ok {
+		return core.BlockInfo{}, core.ErrStaleEpoch
+	}
+	return last.Info, core.ErrBlockFull
 }
 
 // WriteAt writes data at an absolute file offset, spanning chunks as
@@ -98,62 +84,18 @@ func (f *File) WriteAt(ctx context.Context, off int, data []byte) error {
 	return nil
 }
 
-// writeChunk writes within one chunk with staleness recovery.
+// writeChunk writes within one chunk, growing the file to reach it.
 func (f *File) writeChunk(ctx context.Context, ci, in int, data []byte) error {
-	var lastErr error
-	throttles, degraded := 0, 0
-	for attempt := 0; attempt < f.h.retryLimit(); attempt++ {
-		info, err := f.blockFor(ctx, ci, true)
+	args := [][]byte{ds.U64(uint64(in)), data}
+	_, err := f.h.retry(ctx, core.OpFileWrite, "", func(map[string]bool) (core.BlockInfo, [][]byte, error) {
+		at, err := f.blockFor(ci, true)
 		if err != nil {
-			return err
+			return at, nil, err
 		}
-		_, err = f.h.do(ctx, info, core.OpFileWrite, [][]byte{ds.U64(uint64(in)), data})
-		switch {
-		case err == nil:
-			return nil
-		case ctxErr(err) != nil:
-			return err
-		case errors.Is(err, core.ErrServerDegraded):
-			degraded++
-			if degraded > 1 {
-				return err
-			}
-			lastErr = err
-			if rerr := f.h.refresh(ctx); rerr != nil && !isConnErr(rerr) {
-				return rerr
-			}
-			if berr := f.h.backoff(ctx, attempt); berr != nil {
-				return berr
-			}
-		case errors.Is(err, core.ErrStaleEpoch):
-			lastErr = err
-			if rerr := f.h.refresh(ctx); rerr != nil {
-				return rerr
-			}
-			if berr := f.h.backoff(ctx, attempt); berr != nil {
-				return berr
-			}
-		case errors.Is(err, core.ErrQuotaExceeded):
-			throttles++
-			if throttles > f.h.throttleLimit() {
-				return err
-			}
-			if werr := f.h.waitThrottle(ctx, attempt, err); werr != nil {
-				return werr
-			}
-		case isConnErr(err):
-			lastErr = err
-			if rerr := f.h.refresh(ctx); rerr != nil && !isConnErr(rerr) {
-				return rerr
-			}
-			if berr := f.h.backoff(ctx, attempt); berr != nil {
-				return berr
-			}
-		default:
-			return err
-		}
-	}
-	return errRetriesExhausted("file write", lastErr)
+		res, err := f.h.do(ctx, at, core.OpFileWrite, args)
+		return at, res, err
+	}, f.h.refresh, f.h.scaleOnFull)
+	return err
 }
 
 // Append writes data at this handle's append cursor and advances it.
@@ -214,66 +156,22 @@ func (f *File) ReadAt(ctx context.Context, off, n int) ([]byte, error) {
 	return out, nil
 }
 
-// readChunk reads within one chunk with staleness recovery.
+// readChunk reads within one chunk. File reads are idempotent: they
+// may hedge against another chain member when the tail is slow.
 func (f *File) readChunk(ctx context.Context, ci, in, n int) ([]byte, error) {
-	var lastErr error
-	throttles, degraded := 0, 0
-	for attempt := 0; attempt < f.h.retryLimit(); attempt++ {
-		info, err := f.blockFor(ctx, ci, false)
+	args := [][]byte{ds.U64(uint64(in)), ds.U64(uint64(n))}
+	res, err := f.h.retry(ctx, core.OpFileRead, "", func(map[string]bool) (core.BlockInfo, [][]byte, error) {
+		at, err := f.blockFor(ci, false)
 		if err != nil {
-			return nil, err
+			return at, nil, err
 		}
-		// File reads are idempotent: they may hedge against another
-		// chain member when the tail is slow.
-		res, err := f.h.doRead(ctx, info, core.OpFileRead, [][]byte{ds.U64(uint64(in)), ds.U64(uint64(n))})
-		switch {
-		case err == nil:
-			return res[0], nil
-		case ctxErr(err) != nil:
-			return nil, err
-		case errors.Is(err, core.ErrServerDegraded):
-			// Open breaker: refresh once (the controller may have
-			// re-chained the block), then surface the typed error.
-			degraded++
-			if degraded > 1 {
-				return nil, err
-			}
-			lastErr = err
-			if rerr := f.h.refresh(ctx); rerr != nil && !isConnErr(rerr) {
-				return nil, rerr
-			}
-			if berr := f.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		case errors.Is(err, core.ErrStaleEpoch):
-			lastErr = err
-			if rerr := f.h.refresh(ctx); rerr != nil {
-				return nil, rerr
-			}
-			if berr := f.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		case errors.Is(err, core.ErrQuotaExceeded):
-			throttles++
-			if throttles > f.h.throttleLimit() {
-				return nil, err
-			}
-			if werr := f.h.waitThrottle(ctx, attempt, err); werr != nil {
-				return nil, werr
-			}
-		case isConnErr(err):
-			lastErr = err
-			if rerr := f.h.refresh(ctx); rerr != nil && !isConnErr(rerr) {
-				return nil, rerr
-			}
-			if berr := f.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		default:
-			return nil, err
-		}
+		res, err := f.h.doRead(ctx, at, core.OpFileRead, args)
+		return at, res, err
+	}, f.h.refresh, nil)
+	if err != nil {
+		return nil, err
 	}
-	return nil, errRetriesExhausted("file read", lastErr)
+	return res[0], nil
 }
 
 // Seek positions the sequential-read cursor (seek in §5.1).
@@ -306,74 +204,25 @@ func (f *File) AppendRecord(ctx context.Context, data []byte) (int, error) {
 	if cs <= 0 {
 		return 0, fmt.Errorf("client: file has no chunk size")
 	}
-	var lastErr error
-	throttles, degraded := 0, 0
-	for attempt := 0; attempt < f.h.retryLimit(); attempt++ {
+	chunk := 0
+	res, err := f.h.retry(ctx, core.OpFileAppend, "", func(map[string]bool) (core.BlockInfo, [][]byte, error) {
 		m := f.h.snapshot()
 		tail, ok := m.Tail()
 		if !ok {
-			return 0, fmt.Errorf("client: file has no chunks: %w", core.ErrNotFound)
+			return core.BlockInfo{}, nil, fmt.Errorf("client: file has no chunks: %w", core.ErrNotFound)
 		}
+		chunk = tail.Chunk
 		res, err := f.h.do(ctx, tail.Info, core.OpFileAppend, [][]byte{data})
-		switch {
-		case errors.Is(err, core.ErrServerDegraded):
-			degraded++
-			if degraded > 1 {
-				return 0, err
-			}
-			lastErr = err
-			if rerr := f.h.refresh(ctx); rerr != nil && !isConnErr(rerr) {
-				return 0, rerr
-			}
-			if berr := f.h.backoff(ctx, attempt); berr != nil {
-				return 0, berr
-			}
-		case err == nil:
-			off, perr := ds.ParseU64(res[0])
-			if perr != nil {
-				return 0, perr
-			}
-			return tail.Chunk*cs + int(off), nil
-		case ctxErr(err) != nil:
-			return 0, err
-		case errors.Is(err, core.ErrBlockFull):
-			lastErr = err
-			if serr := f.h.requestScale(ctx, tail.Info.ID); serr != nil &&
-				!errors.Is(serr, core.ErrNoCapacity) {
-				return 0, serr
-			}
-			if berr := f.h.backoff(ctx, attempt); berr != nil {
-				return 0, berr
-			}
-		case errors.Is(err, core.ErrStaleEpoch):
-			lastErr = err
-			if rerr := f.h.refresh(ctx); rerr != nil {
-				return 0, rerr
-			}
-			if berr := f.h.backoff(ctx, attempt); berr != nil {
-				return 0, berr
-			}
-		case errors.Is(err, core.ErrQuotaExceeded):
-			throttles++
-			if throttles > f.h.throttleLimit() {
-				return 0, err
-			}
-			if werr := f.h.waitThrottle(ctx, attempt, err); werr != nil {
-				return 0, werr
-			}
-		case isConnErr(err):
-			lastErr = err
-			if rerr := f.h.refresh(ctx); rerr != nil && !isConnErr(rerr) {
-				return 0, rerr
-			}
-			if berr := f.h.backoff(ctx, attempt); berr != nil {
-				return 0, berr
-			}
-		default:
-			return 0, err
-		}
+		return tail.Info, res, err
+	}, f.h.refresh, f.h.scaleOnFull)
+	if err != nil {
+		return 0, err
 	}
-	return 0, errRetriesExhausted("file append record", lastErr)
+	off, err := ds.ParseU64(res[0])
+	if err != nil {
+		return 0, err
+	}
+	return chunk*cs + int(off), nil
 }
 
 // Chunks returns the current number of chunks (after a refresh), so

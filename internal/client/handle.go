@@ -250,6 +250,137 @@ func ctxErr(err error) error {
 	return nil
 }
 
+// verdict is a data type's ruling on an error only it knows how to
+// handle (the own step of handle.retry).
+type verdict uint8
+
+const (
+	shared     verdict = iota // not this type's error: the shared arms decide
+	retryNow                  // handled (a redirect was followed): retry at once
+	retryLater                // handled (the structure grew): back off, then retry
+	final                     // return the error own returned
+)
+
+// retry drives one single-op data call through the recovery protocol
+// every data type shares (§3.3, §5). try routes the op under the
+// cached map, skipping the servers in avoid where the type can (they
+// failed earlier in this call), sends it, and reports the target it
+// picked. resync re-learns the routing state: handle.refresh, or
+// Queue.reseed for the cached ends. own, when non-nil, rules first on
+// the errors only its type has. The error → action table (DESIGN.md
+// §11):
+//
+//	caller ctx canceled or expired  return it; no further attempt
+//	ErrQuotaExceeded                wait the retry-after hint; past ThrottleLimit return it (never spends Limit)
+//	ErrStaleEpoch, route miss       resync, back off
+//	ErrServerDegraded               server already avoided: return it; else avoid it, resync, back off
+//	connection failure              avoid the server, resync, back off
+//	anything else                   return it
+//
+// ctx bounds the whole loop: once it ends, the loop stops instead of
+// burning the remaining budget against a caller that has gone away.
+// Every retried arm records its error as the cause the
+// retries-exhausted error wraps once Limit attempts are spent.
+func (h *handle) retry(ctx context.Context, op core.OpType, key string,
+	try func(avoid map[string]bool) (core.BlockInfo, [][]byte, error),
+	resync func(context.Context) error,
+	own func(ctx context.Context, err error, at core.BlockInfo) (verdict, error),
+) ([][]byte, error) {
+	var cause error
+	var avoid map[string]bool
+	throttles := 0
+	for attempt := 0; attempt < h.c.policy.Limit; {
+		at, res, err := try(avoid)
+		if err == nil {
+			return res, nil
+		}
+		if ctxErr(err) != nil {
+			return nil, err
+		}
+		v, oerr := shared, error(nil)
+		if own != nil {
+			v, oerr = own(ctx, err, at)
+		}
+		switch {
+		case v == final:
+			return nil, oerr
+		case v != shared:
+			// own handled it.
+		case errors.Is(err, core.ErrQuotaExceeded):
+			// Admission refusal: honor the retry-after hint a bounded
+			// number of times, then surface the typed error as
+			// backpressure; never silently swallow a throttle.
+			throttles++
+			if throttles > h.c.policy.ThrottleLimit {
+				return nil, err
+			}
+			if werr := h.waitThrottle(ctx, throttles-1, err); werr != nil {
+				return nil, werr
+			}
+			continue
+		case errors.Is(err, core.ErrStaleEpoch):
+			if rerr := resync(ctx); rerr != nil {
+				return nil, rerr
+			}
+			v = retryLater
+		case errors.Is(err, core.ErrServerDegraded) && avoid[at.Server]:
+			// The breaker is still open after a resync (or the server
+			// already failed this call): surface the typed error with
+			// its retry-after hint instead of burning the budget.
+			return nil, err
+		case errors.Is(err, core.ErrServerDegraded) || isConnErr(err):
+			// An open breaker or a dead session (evicted by do, so the
+			// next attempt re-dials): reads fall back along the chain,
+			// and the fresh map may show the block repaired or moved.
+			if avoid == nil {
+				avoid = make(map[string]bool)
+			}
+			avoid[at.Server] = true
+			if rerr := resync(ctx); rerr != nil && !isConnErr(rerr) {
+				return nil, rerr
+			}
+			v = retryLater
+		default:
+			return nil, err
+		}
+		cause = err
+		if v == retryLater {
+			if berr := h.backoff(ctx, attempt); berr != nil {
+				return nil, berr
+			}
+		}
+		attempt++
+	}
+	name := fmt.Sprintf("%v %v", h.snapshot().Type, op)
+	if key != "" {
+		name += fmt.Sprintf(" %q", key)
+	}
+	return nil, errRetriesExhausted(name, cause)
+}
+
+// grow asks for a scale-up at block the way every recovery path does:
+// a cluster without free capacity leaves the structure as it is, and
+// the retry that follows finds out.
+func (h *handle) grow(ctx context.Context, block core.BlockID) error {
+	if err := h.requestScale(ctx, block); err != nil && !errors.Is(err, core.ErrNoCapacity) {
+		return err
+	}
+	return nil
+}
+
+// scaleOnFull is the own step of KV and file writes: a full block asks
+// the controller for a scale-up (the proactive server-side signal
+// usually beats us to it), which installs the grown map.
+func (h *handle) scaleOnFull(ctx context.Context, err error, at core.BlockInfo) (verdict, error) {
+	if !errors.Is(err, core.ErrBlockFull) {
+		return shared, nil
+	}
+	if gerr := h.grow(ctx, at.ID); gerr != nil {
+		return final, gerr
+	}
+	return retryLater, nil
+}
+
 // backoffDelay computes the retry delay for a zero-based attempt:
 // linear growth capped at limit, so a full retry budget stays bounded.
 func backoffDelay(attempt int, limit time.Duration) time.Duration {
@@ -264,33 +395,13 @@ func backoffDelay(attempt int, limit time.Duration) time.Duration {
 }
 
 // backoff sleeps briefly between retries (attempt is zero-based),
-// counts the retry, and aborts early when ctx ends — the loop must
-// stop retrying the moment the caller's deadline expires.
+// counts the retry, and aborts early when ctx ends.
 func (h *handle) backoff(ctx context.Context, attempt int) error {
 	if obs.On() {
 		h.c.rpcm.Retries.Inc()
 	}
-	t := time.NewTimer(backoffDelay(attempt, h.c.policy.MaxBackoff))
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
+	return sleepCtx(ctx, backoffDelay(attempt, h.c.policy.MaxBackoff))
 }
-
-// backoff is the context-free variant used by code without a retry
-// context of its own.
-func backoff(attempt int) {
-	time.Sleep(backoffDelay(attempt, 0))
-}
-
-// retryLimit exposes the client's retry bound to the typed handles.
-func (h *handle) retryLimit() int { return h.c.policy.Limit }
-
-// throttleLimit exposes the quota-refusal retry bound.
-func (h *handle) throttleLimit() int { return h.c.policy.ThrottleLimit }
 
 // waitThrottle honors a quota refusal's backpressure: sleep the
 // server's retry-after hint — capped by MaxThrottleWait, falling back
@@ -307,14 +418,7 @@ func (h *handle) waitThrottle(ctx context.Context, attempt int, err error) error
 	if lim := h.c.policy.MaxThrottleWait; lim > 0 && d > lim {
 		d = lim
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
+	return sleepCtx(ctx, d)
 }
 
 // errRetriesExhausted wraps the final error after the retry budget is

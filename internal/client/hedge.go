@@ -84,8 +84,8 @@ type hedgeResult struct {
 
 // hedgeErr strips attempt-context expiry out of a hedge arm's error:
 // the adaptive per-attempt deadline is not the caller's deadline, so
-// its expiry must classify as a retryable timeout (the retry loops
-// abort outright on caller-context errors).
+// its expiry must classify as a retryable timeout (the recovery loop,
+// handle.retry, aborts outright on caller-context errors).
 func hedgeErr(ctx context.Context, err error) error {
 	if err == nil || ctx.Err() != nil || ctxErr(err) == nil {
 		return err
@@ -166,7 +166,7 @@ func (h *handle) doHedged(ctx context.Context, primary, alt core.BlockInfo, dela
 			}
 			if !fired {
 				// The primary failed before the hedge deadline: no backup
-				// was launched, so surface the failure to the retry loop
+				// was launched, so surface the failure to the recovery loop
 				// (which will fall back along the chain itself).
 				return nil, hedgeErr(ctx, r.err)
 			}

@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"jiffy/internal/core"
 	"jiffy/internal/ds"
@@ -22,135 +21,55 @@ type KV struct {
 func (k *KV) Path() core.Path { return k.h.path }
 
 // route picks the block for key from the cached map: mutations go to
-// the chain head, reads to the tail (plain Info when unreplicated).
-// Servers in avoid have failed at the connection level this operation;
-// reads fall back to the closest upstream chain member still reachable
-// — safe because chain propagation is synchronous, so every replica
-// holds all acknowledged writes.
-func (k *KV) route(key string, op core.OpType, avoid map[string]bool) (core.BlockInfo, bool, error) {
+// the chain head, reads to the tail (plain Info when unreplicated). A
+// slot without an owner in the cached map is a stale-map miss. Servers
+// in avoid have failed this operation; reads fall back to the closest
+// upstream chain member still reachable — safe because chain
+// propagation is synchronous, so every replica holds all acknowledged
+// writes.
+func (k *KV) route(key string, op core.OpType, avoid map[string]bool) (core.BlockInfo, error) {
 	m := k.h.snapshot()
 	if m.NumSlots == 0 {
-		return core.BlockInfo{}, false, nil
+		return core.BlockInfo{}, core.ErrStaleEpoch
 	}
 	e, ok := m.BlockForSlot(ds.SlotOf(key, m.NumSlots))
 	if !ok {
-		return core.BlockInfo{}, false, nil
+		return core.BlockInfo{}, core.ErrStaleEpoch
 	}
 	if e.Lost {
-		return core.BlockInfo{}, false, lostErr(e)
+		return core.BlockInfo{}, lostErr(e)
 	}
 	if op.IsMutation() {
-		return e.WriteTarget(), true, nil
+		return e.WriteTarget(), nil
 	}
 	rt := e.ReadTarget()
 	if avoid[rt.Server] {
 		for i := len(e.Chain) - 1; i >= 0; i-- {
 			if !avoid[e.Chain[i].Server] {
-				return e.Chain[i], true, nil
+				return e.Chain[i], nil
 			}
 		}
 	}
-	return rt, true, nil
+	return rt, nil
 }
 
-// exec runs op with staleness/full/connection recovery. ctx bounds the
-// whole retry loop: once it ends, the loop stops instead of burning
-// the remaining budget against a caller that has gone away.
+// exec runs one keyed op through the handle's recovery loop; a full
+// block asks for a split.
 func (k *KV) exec(ctx context.Context, op core.OpType, key string, args [][]byte) ([][]byte, error) {
-	var lastErr error
-	var avoid map[string]bool
-	throttles := 0
-	for attempt := 0; attempt < k.h.retryLimit(); attempt++ {
-		info, ok, err := k.route(key, op, avoid)
+	return k.h.retry(ctx, op, key, func(avoid map[string]bool) (core.BlockInfo, [][]byte, error) {
+		at, err := k.route(key, op, avoid)
 		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			if err := k.h.refresh(ctx); err != nil {
-				return nil, err
-			}
-			if err := k.h.backoff(ctx, attempt); err != nil {
-				return nil, err
-			}
-			continue
+			return at, nil, err
 		}
 		var res [][]byte
 		if op.IsMutation() {
-			res, err = k.h.do(ctx, info, op, args)
+			res, err = k.h.do(ctx, at, op, args)
 		} else {
 			// Idempotent reads may hedge against another chain member.
-			res, err = k.h.doRead(ctx, info, op, args)
+			res, err = k.h.doRead(ctx, at, op, args)
 		}
-		switch {
-		case err == nil:
-			return res, nil
-		case ctxErr(err) != nil:
-			return nil, err
-		case errors.Is(err, core.ErrServerDegraded):
-			// The server's breaker is open. Reads fall back along the
-			// chain via avoid; once every candidate is degraded (or for a
-			// mutation, whose head has no substitute), surface the typed
-			// error with its retry-after hint instead of burning the
-			// whole retry budget against open breakers.
-			if avoid == nil {
-				avoid = make(map[string]bool)
-			}
-			if avoid[info.Server] || op.IsMutation() {
-				return nil, err
-			}
-			avoid[info.Server] = true
-			if berr := k.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		case errors.Is(err, core.ErrStaleEpoch):
-			lastErr = err
-			if rerr := k.h.refresh(ctx); rerr != nil {
-				return nil, rerr
-			}
-			if berr := k.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		case errors.Is(err, core.ErrBlockFull):
-			lastErr = err
-			if serr := k.h.requestScale(ctx, info.ID); serr != nil &&
-				!errors.Is(serr, core.ErrNoCapacity) {
-				return nil, serr
-			}
-			if berr := k.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		case errors.Is(err, core.ErrQuotaExceeded):
-			// Admission refusal: honor the retry-after hint a bounded
-			// number of times, then surface the typed error as
-			// backpressure — never silently swallow a throttle.
-			throttles++
-			if throttles > k.h.throttleLimit() {
-				return nil, err
-			}
-			if werr := k.h.waitThrottle(ctx, attempt, err); werr != nil {
-				return nil, werr
-			}
-		case isConnErr(err):
-			// The session died or timed out: mark the server so reads
-			// fall back along the chain, pick up a fresh map (the
-			// controller may have repaired or moved blocks), re-dial on
-			// the next attempt.
-			lastErr = err
-			if avoid == nil {
-				avoid = make(map[string]bool)
-			}
-			avoid[info.Server] = true
-			if rerr := k.h.refresh(ctx); rerr != nil && !isConnErr(rerr) {
-				return nil, rerr
-			}
-			if berr := k.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		default:
-			return nil, err
-		}
-	}
-	return nil, errRetriesExhausted(fmt.Sprintf("kv %v %q", op, key), lastErr)
+		return at, res, err
+	}, k.h.refresh, k.h.scaleOnFull)
 }
 
 // Put stores a key-value pair.

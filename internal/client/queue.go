@@ -66,238 +66,95 @@ func (q *Queue) reseed(ctx context.Context) error {
 
 // Enqueue appends an item to the queue tail.
 func (q *Queue) Enqueue(ctx context.Context, item []byte) error {
-	var lastErr error
-	throttles, degraded := 0, 0
-	for attempt := 0; attempt < q.h.retryLimit(); attempt++ {
-		_, tail, err := q.ends()
-		if err != nil {
-			return err
-		}
-		_, err = q.h.do(ctx, tail, core.OpEnqueue, [][]byte{item})
-		switch {
-		case err == nil:
-			return nil
-		case ctxErr(err) != nil:
-			return err
-		case errors.Is(err, core.ErrServerDegraded):
-			degraded++
-			if degraded > 1 {
-				return err
-			}
-			lastErr = err
-			if rerr := q.reseed(ctx); rerr != nil && !isConnErr(rerr) {
-				return rerr
-			}
-			if berr := q.h.backoff(ctx, attempt); berr != nil {
-				return berr
-			}
-		case errors.Is(err, core.ErrRedirect):
-			// The tail moved; follow the link.
-			var r *redirect
-			if errors.As(err, &r) {
-				q.mu.Lock()
-				q.tail = r.next
-				q.mu.Unlock()
-			} else if rerr := q.reseed(ctx); rerr != nil {
-				return rerr
-			}
-		case errors.Is(err, core.ErrBlockFull):
-			lastErr = err
-			if serr := q.h.requestScale(ctx, tail.ID); serr != nil &&
-				!errors.Is(serr, core.ErrNoCapacity) {
-				return serr
-			}
-			if rerr := q.reseed(ctx); rerr != nil {
-				return rerr
-			}
-			// A bounded queue at its block limit cannot grow: report
-			// backpressure to the producer instead of spinning.
-			if m := q.h.snapshot(); m.AtMaxBlocks() {
-				if t, ok := m.Tail(); ok && t.Info.ID == tail.ID {
-					return fmt.Errorf("client: bounded queue full: %w", core.ErrBlockFull)
-				}
-			}
-			if berr := q.h.backoff(ctx, attempt); berr != nil {
-				return berr
-			}
-		case errors.Is(err, core.ErrStaleEpoch):
-			lastErr = err
-			if rerr := q.reseed(ctx); rerr != nil {
-				return rerr
-			}
-			if berr := q.h.backoff(ctx, attempt); berr != nil {
-				return berr
-			}
-		case errors.Is(err, core.ErrQuotaExceeded):
-			throttles++
-			if throttles > q.h.throttleLimit() {
-				return err
-			}
-			if werr := q.h.waitThrottle(ctx, attempt, err); werr != nil {
-				return werr
-			}
-		case isConnErr(err):
-			// Session died or timed out: re-dial and re-learn the ends
-			// on the next attempt.
-			lastErr = err
-			if rerr := q.reseed(ctx); rerr != nil && !isConnErr(rerr) {
-				return rerr
-			}
-			if berr := q.h.backoff(ctx, attempt); berr != nil {
-				return berr
-			}
-		default:
-			return err
-		}
-	}
-	return errRetriesExhausted("enqueue", lastErr)
+	_, err := q.exec(ctx, core.OpEnqueue, [][]byte{item})
+	return err
 }
 
 // Dequeue removes and returns the oldest item; returns ErrEmpty when
 // the queue has no pending items.
 func (q *Queue) Dequeue(ctx context.Context) ([]byte, error) {
-	var lastErr error
-	throttles, degraded := 0, 0
-	for attempt := 0; attempt < q.h.retryLimit(); attempt++ {
-		head, _, err := q.ends()
-		if err != nil {
-			return nil, err
-		}
-		res, err := q.h.do(ctx, head, core.OpDequeue, nil)
-		switch {
-		case err == nil:
-			return res[0], nil
-		case ctxErr(err) != nil:
-			return nil, err
-		case errors.Is(err, core.ErrServerDegraded):
-			degraded++
-			if degraded > 1 {
-				return nil, err
-			}
-			lastErr = err
-			if rerr := q.reseed(ctx); rerr != nil && !isConnErr(rerr) {
-				return nil, rerr
-			}
-			if berr := q.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		case errors.Is(err, core.ErrRedirect):
-			// The head segment drained; advance to its successor.
-			var r *redirect
-			if errors.As(err, &r) {
-				q.mu.Lock()
-				q.head = r.next
-				q.mu.Unlock()
-			} else if rerr := q.reseed(ctx); rerr != nil {
-				return nil, rerr
-			}
-		case errors.Is(err, core.ErrEmpty):
-			return nil, err
-		case errors.Is(err, core.ErrStaleEpoch):
-			lastErr = err
-			if rerr := q.reseed(ctx); rerr != nil {
-				return nil, rerr
-			}
-			if berr := q.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		case errors.Is(err, core.ErrQuotaExceeded):
-			throttles++
-			if throttles > q.h.throttleLimit() {
-				return nil, err
-			}
-			if werr := q.h.waitThrottle(ctx, attempt, err); werr != nil {
-				return nil, werr
-			}
-		case isConnErr(err):
-			lastErr = err
-			if rerr := q.reseed(ctx); rerr != nil && !isConnErr(rerr) {
-				return nil, rerr
-			}
-			if berr := q.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		default:
-			return nil, err
-		}
-	}
-	return nil, errRetriesExhausted("dequeue", lastErr)
+	return q.take(ctx, core.OpDequeue)
 }
 
 // Peek returns the oldest pending item without consuming it; returns
 // ErrEmpty when the queue has no pending items. Peeks follow the same
 // redirect chain as dequeues, and on the server they share the
 // segment's read lock, so concurrent peeks never serialize against
-// each other.
+// each other. Being idempotent reads, they may hedge against another
+// member of the head segment's chain.
 func (q *Queue) Peek(ctx context.Context) ([]byte, error) {
-	var lastErr error
-	throttles, degraded := 0, 0
-	for attempt := 0; attempt < q.h.retryLimit(); attempt++ {
-		head, _, err := q.ends()
-		if err != nil {
-			return nil, err
+	return q.take(ctx, core.OpQueuePeek)
+}
+
+// take runs a dequeue or a peek against the head segment.
+func (q *Queue) take(ctx context.Context, op core.OpType) ([]byte, error) {
+	res, err := q.exec(ctx, op, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// exec runs one queue op through the handle's recovery loop: enqueues
+// go to the cached tail, dequeues and peeks to the cached head. The
+// queue's own arms follow a sealed or drained segment's redirect to
+// its successor without a controller round trip, and grow a full tail.
+// An empty queue's ErrEmpty is final like any other answer.
+func (q *Queue) exec(ctx context.Context, op core.OpType, args [][]byte) ([][]byte, error) {
+	atTail := op == core.OpEnqueue
+	return q.h.retry(ctx, op, "", func(map[string]bool) (core.BlockInfo, [][]byte, error) {
+		at, tail, err := q.ends()
+		if atTail {
+			at = tail
 		}
-		// Peeks are idempotent reads: they may hedge against another
-		// member of the head segment's chain.
-		res, err := q.h.doRead(ctx, head, core.OpQueuePeek, nil)
-		switch {
-		case err == nil:
-			return res[0], nil
-		case ctxErr(err) != nil:
-			return nil, err
-		case errors.Is(err, core.ErrServerDegraded):
-			degraded++
-			if degraded > 1 {
-				return nil, err
-			}
-			lastErr = err
-			if rerr := q.reseed(ctx); rerr != nil && !isConnErr(rerr) {
-				return nil, rerr
-			}
-			if berr := q.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		case errors.Is(err, core.ErrRedirect):
-			// The head segment drained; advance to its successor.
-			var r *redirect
-			if errors.As(err, &r) {
-				q.mu.Lock()
+		if err != nil {
+			return at, nil, err
+		}
+		if !op.IsMutation() {
+			// A peek carries no arguments and may hedge; keeping args
+			// off the hedged path keeps an enqueue's args on the stack.
+			res, err := q.h.doRead(ctx, at, op, nil)
+			return at, res, err
+		}
+		res, err := q.h.do(ctx, at, op, args)
+		return at, res, err
+	}, q.reseed, func(ctx context.Context, err error, at core.BlockInfo) (verdict, error) {
+		if r, ok := err.(*redirect); ok {
+			q.mu.Lock()
+			if atTail {
+				q.tail = r.next
+			} else {
 				q.head = r.next
-				q.mu.Unlock()
-			} else if rerr := q.reseed(ctx); rerr != nil {
-				return nil, rerr
 			}
-		case errors.Is(err, core.ErrEmpty):
-			return nil, err
-		case errors.Is(err, core.ErrStaleEpoch):
-			lastErr = err
-			if rerr := q.reseed(ctx); rerr != nil {
-				return nil, rerr
+			q.mu.Unlock()
+			return retryNow, nil
+		}
+		if errors.Is(err, core.ErrBlockFull) {
+			if gerr := q.growTail(ctx, at.ID); gerr != nil {
+				return final, gerr
 			}
-			if berr := q.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		case errors.Is(err, core.ErrQuotaExceeded):
-			throttles++
-			if throttles > q.h.throttleLimit() {
-				return nil, err
-			}
-			if werr := q.h.waitThrottle(ctx, attempt, err); werr != nil {
-				return nil, werr
-			}
-		case isConnErr(err):
-			lastErr = err
-			if rerr := q.reseed(ctx); rerr != nil && !isConnErr(rerr) {
-				return nil, rerr
-			}
-			if berr := q.h.backoff(ctx, attempt); berr != nil {
-				return nil, berr
-			}
-		default:
-			return nil, err
+			return retryLater, nil
+		}
+		return shared, nil
+	})
+}
+
+// growTail answers a full tail segment: ask for a scale-up, re-learn
+// the ends, and report a bounded queue already at its block limit as
+// backpressure to the producer instead of spinning.
+func (q *Queue) growTail(ctx context.Context, tail core.BlockID) error {
+	if err := q.h.grow(ctx, tail); err != nil {
+		return err
+	}
+	if err := q.reseed(ctx); err != nil {
+		return err
+	}
+	if m := q.h.snapshot(); m.AtMaxBlocks() {
+		if t, ok := m.Tail(); ok && t.Info.ID == tail {
+			return fmt.Errorf("client: bounded queue full: %w", core.ErrBlockFull)
 		}
 	}
-	return nil, errRetriesExhausted("peek", lastErr)
+	return nil
 }
 
 // Subscribe registers for notifications on the queue's blocks —

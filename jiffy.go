@@ -93,7 +93,7 @@ type (
 	// Option configures a connection (see WithRPCTimeout,
 	// WithRetryPolicy, WithTracing).
 	Option = client.Option
-	// RetryPolicy bounds the client's refresh-and-retry loops.
+	// RetryPolicy bounds the client's recovery loop and batched calls.
 	RetryPolicy = client.RetryPolicy
 
 	// SpanExporter receives completed RPC spans when tracing is on.
@@ -142,7 +142,7 @@ var (
 	// default; negative disables the session timeout — a context
 	// deadline still applies).
 	WithRPCTimeout = client.WithRPCTimeout
-	// WithRetryPolicy bounds the refresh-and-retry loops.
+	// WithRetryPolicy bounds the recovery loop and batched calls.
 	WithRetryPolicy = client.WithRetryPolicy
 	// WithTracing enables span collection on the connection, delivering
 	// completed spans to the exporter (see NewRingExporter).
